@@ -503,7 +503,7 @@ const ScanFixture& ScanDb(size_t n) {
       testing_util::BuildSyntheticFeatureDb(static_cast<int>(n) / 100, 100,
                                             0, 12345, 0.05, 1.0, extra));
   SearchEngineOptions opt;
-  opt.backend = IndexBackend::kLinearScan;
+  opt.index_backend = kLinearScanBackendId;
   opt.registry = testing_util::MakeSyntheticRegistry(extra);
   auto engine = SearchEngine::Build(std::move(db), opt);
   f->engine = std::move(*engine);
@@ -583,7 +583,7 @@ struct AnnFixture {
   std::unique_ptr<SearchEngine> exact;
   std::unique_ptr<SearchEngine> ann;
   AnnRecallReport recall;
-  std::vector<double> query;
+  ShapeSignature query;
 };
 
 constexpr int kAnnSpace = kNumFeatureKinds;  // the 32-dim synthetic space
@@ -611,18 +611,16 @@ const AnnFixture& AnnDb(size_t n) {
   auto records =
       MakeSignatureCorpus(corpus, testing_util::MakeSyntheticRegistry(
                                       exact_extra));
-  f->query = records.value()[records.value().size() / 2]
-                 .signature.At(kAnnSpace)
-                 .values;
+  f->query = records.value()[records.value().size() / 2].signature;
   f->db = std::make_shared<ShapeDatabase>();
   for (ShapeRecord& rec : records.value()) f->db->Insert(std::move(rec));
   SearchEngineOptions exact_opt;
-  exact_opt.backend = IndexBackend::kLinearScan;
+  exact_opt.index_backend = kLinearScanBackendId;
   exact_opt.registry = testing_util::MakeSyntheticRegistry(exact_extra);
   auto exact = SearchEngine::Build(f->db, exact_opt);
   f->exact = std::move(*exact);
   SearchEngineOptions ann_opt;
-  ann_opt.backend = IndexBackend::kLinearScan;
+  ann_opt.index_backend = kLinearScanBackendId;
   ann_opt.registry = testing_util::MakeSyntheticRegistry(ann_extra);
   {
     ThreadPool pool(static_cast<int>(
@@ -648,8 +646,10 @@ void BM_AnnScan(benchmark::State& state) {
   const AnnFixture& fx = AnnDb(n);
   const SearchEngine& engine = use_ann ? *fx.ann : *fx.exact;
   state.SetLabel(use_ann ? "hnsw" : "linear_scan");
+  const QueryRequest request =
+      QueryRequest::TopK(engine.registry().id(kAnnSpace), 10);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.QueryTopK(fx.query, kAnnSpace, 10));
+    benchmark::DoNotOptimize(engine.Query(fx.query, request));
   }
   if (use_ann) {
     state.counters["recall_at_1"] = fx.recall.At(1);

@@ -26,7 +26,7 @@ void BM_TopKQuery(benchmark::State& state) {
   size_t i = 0;
   for (auto _ : state) {
     const int q = Queries()[i++ % Queries().size()];
-    auto r = Engine().QueryByIdTopK(q, kind, 10);
+    auto r = Engine().QueryById(q, QueryRequest::TopK(kind, 10));
     if (!r.ok()) {
       state.SkipWithError("query failed");
       return;
@@ -41,8 +41,8 @@ void BM_ThresholdQuery(benchmark::State& state) {
   size_t i = 0;
   for (auto _ : state) {
     const int q = Queries()[i++ % Queries().size()];
-    auto r = Engine().QueryByIdThreshold(
-        q, FeatureKind::kPrincipalMoments, 0.9);
+    auto r = Engine().QueryById(
+        q, QueryRequest::Threshold(FeatureKind::kPrincipalMoments, 0.9));
     if (!r.ok()) {
       state.SkipWithError("query failed");
       return;

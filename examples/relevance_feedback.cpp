@@ -73,9 +73,10 @@ int main() {
       return std::make_pair(fb, recall);
     };
 
-    auto results = engine.QueryTopK(query, kind, k + 1);
-    if (!results.ok()) continue;
-    auto [fb, r0] = round(0, *results);
+    auto response =
+        engine.Query(rec.signature, QueryRequest::TopK(kind, k + 1));
+    if (!response.ok()) continue;
+    auto [fb, r0] = round(0, response->results);
 
     // Two feedback rounds.
     double last_recall = r0;

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # The full CI gate, runnable locally: the tier-1 suite under the `ci`
-# preset, the persistence parsers under ASan/UBSan (ctest label `persist`),
-# and the concurrent serving layer under TSan (label `tsan`). Any failing
-# step fails the script.
+# preset, the benchmark program's build and self-test, the persistence
+# parsers under ASan/UBSan (ctest label `persist`), and the concurrent
+# serving layer under TSan (label `tsan`). Any failing step fails the
+# script.
 #
 # Usage: scripts/ci.sh [--fast]
 #   --fast   tier-1 only (skip the sanitizer passes)
@@ -53,6 +54,14 @@ ctest --preset ci -L incr -j "$JOBS"
 # unfiltered ci pass above and under ASan below.
 echo "==> [ann] index-backend registry + HNSW suite (ctest -L ann)"
 ctest --preset ci -L ann -j "$JOBS"
+
+# Benchmark program build + reference self-test: perfbench/ compiles the
+# library sources of this checkout with its own driver (into the
+# git-ignored .bench_build/), so a public-API change that breaks the
+# benchmark's build fails here. The self-test checks the benchmark's own
+# brute-force reference; it edits nothing under perfbench/.
+echo "==> [perfbench] build + reference self-test"
+python3 perfbench/run.py --selftest
 
 # Advisory perf comparison against the checked-in seed report: prints a
 # per-benchmark delta table and flags >20% median regressions (plus the

@@ -9,12 +9,14 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <set>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "src/common/crc32c.h"
+#include "src/common/logging.h"
 #include "src/common/metrics.h"
 #include "src/common/strings.h"
 #include "src/core/snapshot.h"
@@ -22,7 +24,6 @@
 #include "src/db/serialization.h"
 #include "src/index/disk_rtree.h"
 #include "src/index/index_backend.h"
-#include "src/index/rtree.h"
 #include "src/index/signature_block.h"
 #include "src/search/search_engine.h"
 
@@ -43,6 +44,66 @@ constexpr uint32_t kMaxManifestSections = 128;
 constexpr uint32_t kMaxManifestSpaces = 30;
 constexpr int kMaxHierarchyDepth = 64;
 constexpr uint32_t kMaxHierarchyChildren = 4096;
+
+/// Serves a lazily reopened snapshot's packed index file through the
+/// MultiDimIndex interface. The tree is read-only: Insert/Remove report
+/// NotImplemented (updates go through an engine rebuild, the standard
+/// pattern for packed indexes). Disk errors during a query are logged and
+/// yield an empty result — they indicate an unreadable index file, not a
+/// missing shape.
+///
+/// The underlying buffer pool mutates frame state on every page fetch, so
+/// concurrent snapshot queries must not enter it simultaneously: a mutex
+/// serializes queries against this one index (in-memory backends stay
+/// lock-free).
+class DiskIndexAdapter final : public MultiDimIndex {
+ public:
+  explicit DiskIndexAdapter(std::unique_ptr<DiskRTree> tree)
+      : tree_(std::move(tree)) {}
+
+  int dim() const override { return tree_->dim(); }
+  size_t size() const override { return tree_->size(); }
+
+  Status Insert(int, const std::vector<double>&) override {
+    return Status::NotImplemented(
+        "disk r-tree is static; rebuild the engine to add shapes");
+  }
+  Status Remove(int, const std::vector<double>&) override {
+    return Status::NotImplemented(
+        "disk r-tree is static; rebuild the engine to remove shapes");
+  }
+
+  std::vector<Neighbor> KNearest(const std::vector<double>& query, size_t k,
+                                 const std::vector<double>& weights,
+                                 QueryStats* stats) const override {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto result = tree_->KNearest(query, k, weights, stats);
+    if (!result.ok()) {
+      DESS_LOG(Error) << "disk index query failed: "
+                      << result.status().ToString();
+      return {};
+    }
+    return std::move(result).value();
+  }
+
+  std::vector<Neighbor> RangeQuery(const std::vector<double>& query,
+                                   double radius,
+                                   const std::vector<double>& weights,
+                                   QueryStats* stats) const override {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto result = tree_->RangeQuery(query, radius, weights, stats);
+    if (!result.ok()) {
+      DESS_LOG(Error) << "disk index query failed: "
+                      << result.status().ToString();
+      return {};
+    }
+    return std::move(result).value();
+  }
+
+ private:
+  mutable std::mutex mu_;  // buffer pool is not thread-safe
+  std::unique_ptr<DiskRTree> tree_;
+};
 
 /// One MANIFEST entry: a section file with its expected size and CRC-32C.
 struct ManifestSection {
@@ -738,75 +799,23 @@ Result<std::unique_ptr<Dess3System>> Dess3System::OpenFromSnapshot(
   engine_options.standardize = (manifest.flags & kFlagStandardize) != 0;
   system->options_.search.standardize = engine_options.standardize;
 
+  // A space left without an index here is built by Assemble from the
+  // packed rows through its resolved backend, so a reopened home runs the
+  // index it was configured with (eager `rtree` spaces included). Only two
+  // kinds are served from the snapshot's own bytes: lazily opened `rtree`
+  // spaces read their packed index file through a buffer pool, and a
+  // backend with a serialized structure is restored from the graph
+  // section the same backend wrote — on a missing section, a backend
+  // mismatch, or unusable bytes it is rebuilt instead, since the graph is
+  // an accelerator, never the data of record.
   const IndexBackendRegistry& backends =
       BackendsOrBuiltIns(engine_options.index_backends);
   std::vector<std::unique_ptr<MultiDimIndex>> indexes(registry->size());
   for (int ki = 0; ki < registry->size(); ++ki) {
     const std::string backend_id =
         ResolveIndexBackendId(engine_options, registry->space(ki));
-    if (backend_id != kRTreeBackendId && backend_id != kLinearScanBackendId &&
-        backend_id != kDiskRTreeBackendId) {
-      // A registered (typically approximate) backend. Restore its
-      // serialized structure when the snapshot carries a graph section
-      // written by the same backend; on a missing section, a backend
-      // mismatch, or unusable bytes, rebuild from the packed standardized
-      // rows — the graph is an accelerator, never the data of record. An
-      // id the opener's registry does not know stays an error (the same
-      // configuration taxonomy as SearchEngine::Build).
-      DESS_ASSIGN_OR_RETURN(const IndexBackendDef* def,
-                            backends.Resolve(backend_id));
-      SignatureBlock block(registry->dim(ki));
-      block.Reserve(view->NumShapes());
-      for (const ShapeRecord& rec : view->records()) {
-        block.Append(rec.id,
-                     spaces[ki].Standardize(rec.signature.At(ki).values));
-      }
-      IndexBuildContext ctx;
-      ctx.dim = registry->dim(ki);
-      ctx.block = &block;
-      ctx.weights = &spaces[ki].weights;
-      ctx.pool = nullptr;
-      ctx.seed = engine_options.index_seed + static_cast<uint64_t>(ki);
-      ctx.space_id = registry->id(ki);
-      std::unique_ptr<MultiDimIndex> index;
-      const std::string gfile = SnapshotGraphFile(registry->id(ki));
-      if (def->deserialize && manifest.spaces[ki].backend == backend_id &&
-          FindSection(manifest, gfile) != nullptr &&
-          unusable_graphs.count(gfile) == 0) {
-        std::ifstream gin((root / gfile).string(), std::ios::binary);
-        std::string bytes((std::istreambuf_iterator<char>(gin)),
-                          std::istreambuf_iterator<char>());
-        if (gin.good() || gin.eof()) {
-          Result<std::unique_ptr<MultiDimIndex>> restored =
-              def->deserialize(ctx, bytes);
-          if (restored.ok()) {
-            index = std::move(restored).value();
-            MetricsRegistry::Global()->AddCounter("persist.graphs_restored");
-          }
-        }
-      }
-      if (index == nullptr) {
-        DESS_ASSIGN_OR_RETURN(index, def->factory(ctx));
-        MetricsRegistry::Global()->AddCounter("persist.graphs_rebuilt");
-      }
-      index->BindMetricFamily(def->id);
-      indexes[ki] = std::move(index);
-    } else if (open_options.read_all) {
-      // Eager: rebuild an in-memory R-tree from the persisted raw features
-      // through the persisted space — same coordinates as the packed file,
-      // so both open modes answer identically.
-      auto rtree = std::make_unique<RTreeIndex>(registry->dim(ki));
-      std::vector<std::pair<int, std::vector<double>>> bulk;
-      bulk.reserve(view->NumShapes());
-      for (const ShapeRecord& rec : view->records()) {
-        bulk.emplace_back(
-            rec.id, spaces[ki].Standardize(rec.signature.At(ki).values));
-      }
-      DESS_RETURN_NOT_OK(rtree->BulkLoad(bulk));
-      indexes[ki] = std::move(rtree);
-    } else {
-      // Lazy: serve straight from the packed page file through a buffer
-      // pool; index nodes page in on first touch.
+    if (backend_id == kRTreeBackendId) {
+      if (open_options.read_all) continue;
       const std::string path =
           (root / SnapshotIndexFile(registry->id(ki))).string();
       Result<std::unique_ptr<DiskRTree>> tree =
@@ -815,8 +824,46 @@ Result<std::unique_ptr<Dess3System>> Dess3System::OpenFromSnapshot(
         return Status::DataLoss("cannot open snapshot index '" + path +
                                 "': " + tree.status().message());
       }
-      indexes[ki] = MakeDiskIndexAdapter(std::move(tree).value());
+      indexes[ki] =
+          std::make_unique<DiskIndexAdapter>(std::move(tree).value());
+      continue;
     }
+    // An id the opener's registry does not know stays an error (the same
+    // configuration taxonomy as SearchEngine::Build).
+    DESS_ASSIGN_OR_RETURN(const IndexBackendDef* def,
+                          backends.Resolve(backend_id));
+    if (!def->deserialize) continue;
+    const std::string gfile = SnapshotGraphFile(registry->id(ki));
+    if (manifest.spaces[ki].backend == backend_id &&
+        FindSection(manifest, gfile) != nullptr &&
+        unusable_graphs.count(gfile) == 0) {
+      std::ifstream gin((root / gfile).string(), std::ios::binary);
+      std::string bytes((std::istreambuf_iterator<char>(gin)),
+                        std::istreambuf_iterator<char>());
+      if (gin.good() || gin.eof()) {
+        SignatureBlock block(registry->dim(ki));
+        block.Reserve(view->NumShapes());
+        for (const ShapeRecord& rec : view->records()) {
+          block.Append(rec.id,
+                       spaces[ki].Standardize(rec.signature.At(ki).values));
+        }
+        IndexBuildContext ctx;
+        ctx.dim = registry->dim(ki);
+        ctx.block = &block;
+        ctx.weights = &spaces[ki].weights;
+        ctx.seed = engine_options.index_seed + static_cast<uint64_t>(ki);
+        ctx.space_id = registry->id(ki);
+        Result<std::unique_ptr<MultiDimIndex>> restored =
+            def->deserialize(ctx, bytes);
+        if (restored.ok()) {
+          indexes[ki] = std::move(restored).value();
+          indexes[ki]->BindMetricFamily(def->id);
+          MetricsRegistry::Global()->AddCounter("persist.graphs_restored");
+          continue;
+        }
+      }
+    }
+    MetricsRegistry::Global()->AddCounter("persist.graphs_rebuilt");
   }
 
   DESS_ASSIGN_OR_RETURN(

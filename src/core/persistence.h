@@ -70,14 +70,6 @@ inline std::string SnapshotGraphFile(const std::string& space_id) {
   return std::string(kSnapshotGraphPrefix) + space_id + kSnapshotGraphSuffix;
 }
 
-/// Scratch index file written by SearchEngine::Build's kDiskRTree backend
-/// under SearchEngineOptions::disk_index_dir (not part of a snapshot
-/// directory, but named here so the on-disk layout has one source of
-/// truth).
-inline std::string EngineDiskIndexFile(const std::string& space_id) {
-  return "dess_index_" + space_id + kSnapshotIndexSuffix;
-}
-
 /// How SystemSnapshot::SaveTo writes a snapshot directory. A struct, not
 /// positional bools, in the QueryRequest style: new knobs extend the
 /// struct rather than the signatures.
@@ -106,10 +98,12 @@ struct OpenOptions {
   /// it (one streaming read per file). Disable only for trusted local
   /// restarts where cold-start latency matters more than bitrot detection.
   bool verify_checksums = true;
-  /// Read the R-tree index files eagerly into in-memory R-trees instead of
-  /// serving them lazily from the packed page files through a buffer pool.
-  /// Eager costs more at open, then queries run lock-free; lazy opens in
-  /// O(1) and pages index nodes in on demand.
+  /// For spaces served by the `rtree` backend: read the index files
+  /// eagerly into in-memory R-trees instead of serving them lazily from
+  /// the packed page files through a buffer pool. Eager costs more at
+  /// open, then queries run lock-free; lazy opens in O(1) and pages index
+  /// nodes in on demand. Spaces on any other backend are built (or
+  /// restored from a graph section) at open either way.
   bool read_all = false;
   /// Buffer-pool frames per lazily-opened index (read_all == false).
   int index_buffer_pages = 64;

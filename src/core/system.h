@@ -253,8 +253,10 @@ class Dess3System {
   /// SystemSnapshot::SaveTo and publishes it without re-ingesting or
   /// rebuilding: the reopened system answers queries identically to the
   /// system that saved it, at the saved epoch, and later Ingest*/Commit()
-  /// continue from there. Index pages load lazily through a buffer pool
-  /// unless `open_options.read_all` is set. Failure taxonomy: DataLoss for
+  /// continue from there. Each space is served by the backend this
+  /// system's options resolve for it: `rtree` index pages load lazily
+  /// through a buffer pool unless `open_options.read_all` is set; other
+  /// backends are built or restored at open. Failure taxonomy: DataLoss for
   /// checksum mismatches or truncated/missing sections, FailedPrecondition
   /// for format-version skew, NotFound when `dir` holds no snapshot.
   static Result<std::unique_ptr<Dess3System>> OpenFromSnapshot(

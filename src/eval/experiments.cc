@@ -83,18 +83,21 @@ Result<std::vector<EffectivenessRow>> RunAverageEffectiveness(
   // One-shot rows, one per feature space the engine serves (the canonical
   // four plus any registered ones).
   for (int ordinal = 0; ordinal < engine.NumSpaces(); ++ordinal) {
+    const std::string& space = engine.registry().id(ordinal);
     EffectivenessRow row;
-    row.method = engine.registry().id(ordinal) + " (one-shot)";
+    row.method = space + " (one-shot)";
     for (int q : queries) {
       const std::set<int> relevant = RelevantSetFor(db, q);
-      const int group_r = static_cast<int>(relevant.size());
-      DESS_ASSIGN_OR_RETURN(std::vector<SearchResult> by_group,
-                            engine.QueryByIdTopK(q, ordinal, group_r));
+      const size_t group_r = relevant.size();
+      DESS_ASSIGN_OR_RETURN(
+          const QueryResponse by_group,
+          engine.QueryById(q, QueryRequest::TopK(space, group_r)));
       row.avg_recall_group_size +=
-          ComputePrecisionRecall(IdsOf(by_group), relevant).recall;
-      DESS_ASSIGN_OR_RETURN(std::vector<SearchResult> by_ten,
-                            engine.QueryByIdTopK(q, ordinal, 10));
-      const PrPoint p10 = ComputePrecisionRecall(IdsOf(by_ten), relevant);
+          ComputePrecisionRecall(IdsOf(by_group.results), relevant).recall;
+      DESS_ASSIGN_OR_RETURN(const QueryResponse by_ten,
+                            engine.QueryById(q, QueryRequest::TopK(space, 10)));
+      const PrPoint p10 =
+          ComputePrecisionRecall(IdsOf(by_ten.results), relevant);
       row.avg_recall_10 += p10.recall;
       row.avg_precision_10 += p10.precision;
     }

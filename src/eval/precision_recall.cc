@@ -41,16 +41,21 @@ Result<std::vector<PrPoint>> PrCurveForThresholds(
   if (thresholds.size() < 2) {
     return Status::InvalidArgument("PR curve needs at least 2 thresholds");
   }
+  if (ordinal < 0 || ordinal >= engine.NumSpaces()) {
+    return Status::InvalidArgument("PR curve: feature space out of range");
+  }
   const std::set<int> relevant = RelevantSetFor(engine.db(), query_id);
   std::vector<PrPoint> curve;
   curve.reserve(thresholds.size());
   for (double threshold : thresholds) {
     DESS_ASSIGN_OR_RETURN(
-        std::vector<SearchResult> results,
-        engine.QueryByIdThreshold(query_id, ordinal, threshold));
+        const QueryResponse response,
+        engine.QueryById(query_id, QueryRequest::Threshold(
+                                       engine.registry().id(ordinal),
+                                       threshold)));
     std::vector<int> ids;
-    ids.reserve(results.size());
-    for (const SearchResult& r : results) ids.push_back(r.id);
+    ids.reserve(response.results.size());
+    for (const SearchResult& r : response.results) ids.push_back(r.id);
     PrPoint p = ComputePrecisionRecall(ids, relevant);
     p.threshold = threshold;
     curve.push_back(p);

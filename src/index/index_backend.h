@@ -120,11 +120,6 @@ const IndexBackendRegistry& BackendsOrBuiltIns(
 inline constexpr char kLinearScanBackendId[] = "linear_scan";
 inline constexpr char kRTreeBackendId[] = "rtree";
 inline constexpr char kHnswBackendId[] = "hnsw";
-/// The packed on-disk R-tree is selected by id like a registered backend
-/// but lives outside the registry: it needs engine filesystem options
-/// (index directory, buffer pool) that the factory contract does not
-/// carry.
-inline constexpr char kDiskRTreeBackendId[] = "disk_rtree";
 
 }  // namespace dess
 

@@ -70,8 +70,8 @@ Result<std::vector<SearchResult>> RunPlan(
       }
       DESS_ASSIGN_OR_RETURN(
           current,
-          engine.QueryTopK(feature, ordinal,
-                           k + (exclude_id >= 0 ? 1 : 0), stats));
+          engine.QueryTopKRaw(feature, ordinal,
+                              k + (exclude_id >= 0 ? 1 : 0), nullptr, stats));
       if (exclude_id >= 0) {
         current.erase(std::remove_if(current.begin(), current.end(),
                                      [&](const SearchResult& r) {

@@ -170,7 +170,7 @@ Result<std::vector<SearchResult>> FeedbackRound(
       *session_weights,
       ReconfigureWeights(engine, ordinal, feedback, options,
                          session_weights));
-  return engine.QueryTopKWeighted(*raw_query, ordinal, k, *session_weights);
+  return engine.QueryTopKRaw(*raw_query, ordinal, k, session_weights);
 }
 
 }  // namespace dess

@@ -2,80 +2,16 @@
 
 #include <algorithm>
 #include <chrono>
-#include <filesystem>
-#include <mutex>
+#include <limits>
 
-#include "src/common/logging.h"
 #include "src/common/metrics.h"
 #include "src/common/strings.h"
-#include "src/core/persistence.h"
-#include "src/index/disk_rtree.h"
 #include "src/index/distance_kernel.h"
 #include "src/index/linear_scan.h"
-#include "src/index/rtree.h"
 #include "src/search/multistep.h"
 
 namespace dess {
 namespace {
-
-/// Adapts the static, Status-returning DiskRTree to the MultiDimIndex
-/// interface. The tree is read-only: Insert/Remove report NotImplemented
-/// (updates go through an engine rebuild, the standard pattern for packed
-/// indexes). Disk errors during a query are logged and yield an empty
-/// result — they indicate an unreadable index file, not a missing shape.
-///
-/// The underlying buffer pool mutates frame state on every page fetch, so
-/// concurrent snapshot queries must not enter it simultaneously: a mutex
-/// serializes queries against this one index (in-memory backends stay
-/// lock-free).
-class DiskIndexAdapter final : public MultiDimIndex {
- public:
-  DiskIndexAdapter(std::unique_ptr<DiskRTree> tree)
-      : tree_(std::move(tree)) {}
-
-  int dim() const override { return tree_->dim(); }
-  size_t size() const override { return tree_->size(); }
-
-  Status Insert(int, const std::vector<double>&) override {
-    return Status::NotImplemented(
-        "disk r-tree is static; rebuild the engine to add shapes");
-  }
-  Status Remove(int, const std::vector<double>&) override {
-    return Status::NotImplemented(
-        "disk r-tree is static; rebuild the engine to remove shapes");
-  }
-
-  std::vector<Neighbor> KNearest(const std::vector<double>& query, size_t k,
-                                 const std::vector<double>& weights,
-                                 QueryStats* stats) const override {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto result = tree_->KNearest(query, k, weights, stats);
-    if (!result.ok()) {
-      DESS_LOG(Error) << "disk index query failed: "
-                      << result.status().ToString();
-      return {};
-    }
-    return std::move(result).value();
-  }
-
-  std::vector<Neighbor> RangeQuery(const std::vector<double>& query,
-                                   double radius,
-                                   const std::vector<double>& weights,
-                                   QueryStats* stats) const override {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto result = tree_->RangeQuery(query, radius, weights, stats);
-    if (!result.ok()) {
-      DESS_LOG(Error) << "disk index query failed: "
-                      << result.status().ToString();
-      return {};
-    }
-    return std::move(result).value();
-  }
-
- private:
-  mutable std::mutex mu_;  // buffer pool is not thread-safe
-  std::unique_ptr<DiskRTree> tree_;
-};
 
 Status CheckDeadline(const QueryRequest& request) {
   if (request.has_deadline() &&
@@ -86,11 +22,6 @@ Status CheckDeadline(const QueryRequest& request) {
 }
 
 }  // namespace
-
-std::unique_ptr<MultiDimIndex> MakeDiskIndexAdapter(
-    std::unique_ptr<DiskRTree> tree) {
-  return std::make_unique<DiskIndexAdapter>(std::move(tree));
-}
 
 Result<std::unique_ptr<SearchEngine>> SearchEngine::Assemble(
     std::shared_ptr<const ShapeDatabase> db,
@@ -108,10 +39,10 @@ Result<std::unique_ptr<SearchEngine>> SearchEngine::Assemble(
   }
   DESS_RETURN_NOT_OK(CheckSpacesMatchRegistry(spaces, *registry));
   for (int i = 0; i < registry->size(); ++i) {
-    if (indexes[i] == nullptr || indexes[i]->dim() != registry->dim(i) ||
-        indexes[i]->size() != db->NumShapes()) {
+    if (indexes[i] != nullptr && (indexes[i]->dim() != registry->dim(i) ||
+                                  indexes[i]->size() != db->NumShapes())) {
       return Status::InvalidArgument(StrFormat(
-          "assemble: index '%s' missing or inconsistent with the database",
+          "assemble: index '%s' inconsistent with the database",
           registry->id(i).c_str()));
     }
   }
@@ -123,13 +54,17 @@ Result<std::unique_ptr<SearchEngine>> SearchEngine::Assemble(
   engine->spaces_ = std::move(spaces);
   engine->indexes_.reserve(indexes.size());
   for (auto& index : indexes) engine->indexes_.push_back(std::move(index));
-  // The assembled indexes arrive preloaded (or rebuilt) by the opener;
-  // the engine still resolves each space's backend so query paths know
-  // which indexes are approximate.
+  // The engine resolves each space's backend whether or not its index
+  // arrived preloaded, so query paths know which indexes are approximate.
   DESS_RETURN_NOT_OK(engine->ResolveBackends());
   // The persisted stats make standardization bit-reproducible, so the
   // repacked blocks match what Build() would have produced.
   DESS_RETURN_NOT_OK(engine->PackSignatureBlocks());
+  for (int i = 0; i < engine->NumSpaces(); ++i) {
+    if (engine->indexes_[i] == nullptr) {
+      DESS_RETURN_NOT_OK(engine->BuildIndex(i));
+    }
+  }
   return engine;
 }
 
@@ -238,23 +173,8 @@ Result<std::unique_ptr<SearchEngine>> SearchEngine::Build(
 
 std::string ResolveIndexBackendId(const SearchEngineOptions& options,
                                   const FeatureSpaceDef& def) {
-  if (!def.index_backend.empty()) return def.index_backend;
-  if (def.index_preference == IndexPreference::kRTree) {
-    return kRTreeBackendId;
-  }
-  if (def.index_preference == IndexPreference::kLinearScan) {
-    return kLinearScanBackendId;
-  }
-  if (!options.index_backend.empty()) return options.index_backend;
-  switch (options.backend) {
-    case IndexBackend::kDiskRTree:
-      return kDiskRTreeBackendId;
-    case IndexBackend::kLinearScan:
-      return kLinearScanBackendId;
-    case IndexBackend::kRTree:
-      break;
-  }
-  return options.use_rtree ? kRTreeBackendId : kLinearScanBackendId;
+  return def.index_backend.empty() ? options.index_backend
+                                   : def.index_backend;
 }
 
 Status SearchEngine::ResolveBackends() {
@@ -263,77 +183,53 @@ Status SearchEngine::ResolveBackends() {
       BackendsOrBuiltIns(options_.index_backends);
   backend_info_.assign(registry.size(), {});
   for (int ordinal = 0; ordinal < registry.size(); ++ordinal) {
-    const std::string id =
-        ResolveIndexBackendId(options_, registry.space(ordinal));
-    if (id == kDiskRTreeBackendId) {
-      // The packed on-disk R-tree is exact and selected by id, but built
-      // outside the registry (it needs engine filesystem options).
-      backend_info_[ordinal] = {id, /*exact=*/true, /*supports_range=*/true};
-      continue;
-    }
-    DESS_ASSIGN_OR_RETURN(const IndexBackendDef* def, backends.Resolve(id));
+    DESS_ASSIGN_OR_RETURN(
+        const IndexBackendDef* def,
+        backends.Resolve(
+            ResolveIndexBackendId(options_, registry.space(ordinal))));
     backend_info_[ordinal] = {def->id, def->exact, def->supports_range};
   }
   return Status::OK();
 }
 
 Status SearchEngine::BuildIndexes() {
-  const FeatureSpaceRegistry& registry = *registry_;
-  const IndexBackendRegistry& backends =
-      BackendsOrBuiltIns(options_.index_backends);
   DESS_RETURN_NOT_OK(ResolveBackends());
-  indexes_.assign(registry.size(), nullptr);
-  for (int ordinal = 0; ordinal < registry.size(); ++ordinal) {
-    const FeatureSpaceDef& def = registry.space(ordinal);
-    const int dim = def.dim;
-    const SignatureBlock& block = *blocks_[ordinal];
-    const std::string& id = backend_info_[ordinal].id;
-
-    if (id == kDiskRTreeBackendId) {
-      std::error_code ec;
-      std::filesystem::create_directories(options_.disk_index_dir, ec);
-      if (ec) {
-        return Status::IOError("cannot create index directory '" +
-                               options_.disk_index_dir + "': " + ec.message());
-      }
-      std::vector<std::pair<int, std::vector<double>>> bulk;
-      bulk.reserve(block.size());
-      for (size_t r = 0; r < block.size(); ++r) {
-        bulk.emplace_back(block.id(r), block.Row(r));
-      }
-      const std::string path =
-          options_.disk_index_dir + "/" + EngineDiskIndexFile(def.id);
-      DESS_RETURN_NOT_OK(DiskRTree::Build(path, dim, bulk));
-      DESS_ASSIGN_OR_RETURN(std::unique_ptr<DiskRTree> tree,
-                            DiskRTree::Open(path, options_.disk_buffer_pages));
-      indexes_[ordinal] = MakeDiskIndexAdapter(std::move(tree));
-      continue;
-    }
-
-    DESS_ASSIGN_OR_RETURN(const IndexBackendDef* bdef, backends.Resolve(id));
-    IndexBuildContext ctx;
-    ctx.dim = dim;
-    ctx.block = &block;
-    ctx.weights = &spaces_[ordinal].weights;
-    ctx.pool = options_.build_pool;
-    ctx.seed = options_.index_seed + static_cast<uint64_t>(ordinal);
-    ctx.space_id = def.id;
-    DESS_ASSIGN_OR_RETURN(std::unique_ptr<MultiDimIndex> index,
-                          bdef->factory(ctx));
-    if (index == nullptr || index->dim() != dim ||
-        index->size() != block.size()) {
-      return Status::Internal(StrFormat(
-          "index backend '%s' built an inconsistent index for space '%s'",
-          bdef->id.c_str(), def.id.c_str()));
-    }
-    // The metric family follows the registered id, so a re-registered
-    // backend surfaces as index.<id>.* without code changes.
-    index->BindMetricFamily(bdef->id);
-    indexes_[ordinal] = std::move(index);
+  indexes_.assign(registry_->size(), nullptr);
+  for (int ordinal = 0; ordinal < registry_->size(); ++ordinal) {
+    DESS_RETURN_NOT_OK(BuildIndex(ordinal));
   }
   // The pool was borrowed for the build only; a published engine must not
   // dangle a reference to it.
   options_.build_pool = nullptr;
+  return Status::OK();
+}
+
+Status SearchEngine::BuildIndex(int ordinal) {
+  const FeatureSpaceDef& def = registry_->space(ordinal);
+  const SignatureBlock& block = *blocks_[ordinal];
+  DESS_ASSIGN_OR_RETURN(
+      const IndexBackendDef* bdef,
+      BackendsOrBuiltIns(options_.index_backends)
+          .Resolve(backend_info_[ordinal].id));
+  IndexBuildContext ctx;
+  ctx.dim = def.dim;
+  ctx.block = &block;
+  ctx.weights = &spaces_[ordinal].weights;
+  ctx.pool = options_.build_pool;
+  ctx.seed = options_.index_seed + static_cast<uint64_t>(ordinal);
+  ctx.space_id = def.id;
+  DESS_ASSIGN_OR_RETURN(std::unique_ptr<MultiDimIndex> index,
+                        bdef->factory(ctx));
+  if (index == nullptr || index->dim() != def.dim ||
+      index->size() != block.size()) {
+    return Status::Internal(StrFormat(
+        "index backend '%s' built an inconsistent index for space '%s'",
+        bdef->id.c_str(), def.id.c_str()));
+  }
+  // The metric family follows the registered id, so a re-registered
+  // backend surfaces as index.<id>.* without code changes.
+  index->BindMetricFamily(bdef->id);
+  indexes_[ordinal] = std::move(index);
   return Status::OK();
 }
 
@@ -435,11 +331,6 @@ Result<int> SearchEngine::RequestOrdinal(const QueryRequest& request) const {
   return ordinal;
 }
 
-Status SearchEngine::SetWeights(FeatureKind kind,
-                                const std::vector<double>& weights) {
-  return SetWeights(static_cast<int>(kind), weights);
-}
-
 Status SearchEngine::SetWeights(int ordinal,
                                 const std::vector<double>& weights) {
   DESS_RETURN_NOT_OK(CheckOrdinal(ordinal));
@@ -458,16 +349,16 @@ Status SearchEngine::SetWeights(int ordinal,
   return Status::OK();
 }
 
-Status SearchEngine::CheckRequestWeights(const QueryRequest& request,
-                                         int ordinal) const {
-  if (request.weights.empty()) return Status::OK();
+Status SearchEngine::CheckWeights(const std::vector<double>& weights,
+                                  int ordinal) const {
+  if (weights.empty()) return Status::OK();
   const SimilaritySpace& space = spaces_[ordinal];
-  if (request.weights.size() != space.weights.size()) {
+  if (weights.size() != space.weights.size()) {
     return Status::InvalidArgument(
         StrFormat("request weights dim %zu != feature dim %zu",
-                  request.weights.size(), space.weights.size()));
+                  weights.size(), space.weights.size()));
   }
-  for (double w : request.weights) {
+  for (double w : weights) {
     if (w < 0.0) {
       return Status::InvalidArgument("request weights must be non-negative");
     }
@@ -509,7 +400,7 @@ void ExcludeAndTrim(std::vector<SearchResult>* results, int query_id,
 
 }  // namespace
 
-Result<std::vector<SearchResult>> SearchEngine::QueryTopKImpl(
+Result<std::vector<SearchResult>> SearchEngine::QueryTopKRaw(
     const std::vector<double>& raw_feature, int ordinal, size_t k,
     const std::vector<double>* weights, QueryStats* stats) const {
   DESS_RETURN_NOT_OK(CheckOrdinal(ordinal));
@@ -517,6 +408,7 @@ Result<std::vector<SearchResult>> SearchEngine::QueryTopKImpl(
   if (static_cast<int>(raw_feature.size()) != registry_->dim(ordinal)) {
     return Status::InvalidArgument("query feature dimension mismatch");
   }
+  if (weights != nullptr) DESS_RETURN_NOT_OK(CheckWeights(*weights, ordinal));
   DESS_TIMED_SCOPE("search.query_topk");
   const std::vector<double>& w =
       weights != nullptr ? *weights : spaces_[ki].weights;
@@ -618,85 +510,6 @@ Result<std::vector<SearchResult>> SearchEngine::QueryThresholdImpl(
   return results;
 }
 
-Result<std::vector<SearchResult>> SearchEngine::QueryTopK(
-    const std::vector<double>& raw_feature, FeatureKind kind, size_t k,
-    QueryStats* stats) const {
-  return QueryTopKImpl(raw_feature, static_cast<int>(kind), k, nullptr,
-                       stats);
-}
-
-Result<std::vector<SearchResult>> SearchEngine::QueryTopK(
-    const std::vector<double>& raw_feature, int ordinal, size_t k,
-    QueryStats* stats) const {
-  return QueryTopKImpl(raw_feature, ordinal, k, nullptr, stats);
-}
-
-Result<std::vector<SearchResult>> SearchEngine::QueryTopK(
-    const std::vector<double>& raw_feature, const std::string& space_id,
-    size_t k, QueryStats* stats) const {
-  DESS_ASSIGN_OR_RETURN(const int ordinal, registry_->Resolve(space_id));
-  return QueryTopKImpl(raw_feature, ordinal, k, nullptr, stats);
-}
-
-Result<std::vector<SearchResult>> SearchEngine::QueryTopKWeighted(
-    const std::vector<double>& raw_feature, FeatureKind kind, size_t k,
-    const std::vector<double>& weights, QueryStats* stats) const {
-  return QueryTopKWeighted(raw_feature, static_cast<int>(kind), k, weights,
-                           stats);
-}
-
-Result<std::vector<SearchResult>> SearchEngine::QueryTopKWeighted(
-    const std::vector<double>& raw_feature, int ordinal, size_t k,
-    const std::vector<double>& weights, QueryStats* stats) const {
-  DESS_RETURN_NOT_OK(CheckOrdinal(ordinal));
-  QueryRequest probe;
-  probe.weights = weights;
-  DESS_RETURN_NOT_OK(CheckRequestWeights(probe, ordinal));
-  return QueryTopKImpl(raw_feature, ordinal, k, &weights, stats);
-}
-
-Result<std::vector<SearchResult>> SearchEngine::QueryThreshold(
-    const std::vector<double>& raw_feature, FeatureKind kind,
-    double min_similarity, QueryStats* stats) const {
-  return QueryThresholdImpl(raw_feature, static_cast<int>(kind),
-                            min_similarity, nullptr, stats);
-}
-
-Result<std::vector<SearchResult>> SearchEngine::QueryThreshold(
-    const std::vector<double>& raw_feature, int ordinal,
-    double min_similarity, QueryStats* stats) const {
-  return QueryThresholdImpl(raw_feature, ordinal, min_similarity, nullptr,
-                            stats);
-}
-
-Result<std::vector<SearchResult>> SearchEngine::QueryThreshold(
-    const std::vector<double>& raw_feature, const std::string& space_id,
-    double min_similarity, QueryStats* stats) const {
-  DESS_ASSIGN_OR_RETURN(const int ordinal, registry_->Resolve(space_id));
-  return QueryThresholdImpl(raw_feature, ordinal, min_similarity, nullptr,
-                            stats);
-}
-
-Result<std::vector<SearchResult>> SearchEngine::QueryThresholdWeighted(
-    const std::vector<double>& raw_feature, FeatureKind kind,
-    double min_similarity, const std::vector<double>& weights,
-    QueryStats* stats) const {
-  return QueryThresholdWeighted(raw_feature, static_cast<int>(kind),
-                                min_similarity, weights, stats);
-}
-
-Result<std::vector<SearchResult>> SearchEngine::QueryThresholdWeighted(
-    const std::vector<double>& raw_feature, int ordinal,
-    double min_similarity, const std::vector<double>& weights,
-    QueryStats* stats) const {
-  DESS_RETURN_NOT_OK(CheckOrdinal(ordinal));
-  QueryRequest probe;
-  probe.weights = weights;
-  DESS_RETURN_NOT_OK(CheckRequestWeights(probe, ordinal));
-  return QueryThresholdImpl(raw_feature, ordinal, min_similarity, &weights,
-                            stats);
-}
-
 Result<QueryResponse> SearchEngine::Query(const ShapeSignature& query,
                                           const QueryRequest& request) const {
   DESS_RETURN_NOT_OK(CheckDeadline(request));
@@ -704,7 +517,7 @@ Result<QueryResponse> SearchEngine::Query(const ShapeSignature& query,
   switch (request.mode) {
     case QueryMode::kTopK: {
       DESS_ASSIGN_OR_RETURN(const int ordinal, RequestOrdinal(request));
-      DESS_RETURN_NOT_OK(CheckRequestWeights(request, ordinal));
+      DESS_RETURN_NOT_OK(CheckWeights(request.weights, ordinal));
       if (ordinal >= query.NumSpaces()) {
         return Status::InvalidArgument(
             "query signature carries no vector for feature space '" +
@@ -715,7 +528,7 @@ Result<QueryResponse> SearchEngine::Query(const ShapeSignature& query,
       const auto start = std::chrono::steady_clock::now();
       DESS_ASSIGN_OR_RETURN(
           response.results,
-          QueryTopKImpl(query.At(ordinal).values, ordinal, request.k, w,
+          QueryTopKRaw(query.At(ordinal).values, ordinal, request.k, w,
                         &response.stats));
       response.stage_timings.push_back(
           MakeStageTiming("search.query_topk", request.deadline, start,
@@ -724,7 +537,7 @@ Result<QueryResponse> SearchEngine::Query(const ShapeSignature& query,
     }
     case QueryMode::kThreshold: {
       DESS_ASSIGN_OR_RETURN(const int ordinal, RequestOrdinal(request));
-      DESS_RETURN_NOT_OK(CheckRequestWeights(request, ordinal));
+      DESS_RETURN_NOT_OK(CheckWeights(request.weights, ordinal));
       if (ordinal >= query.NumSpaces()) {
         return Status::InvalidArgument(
             "query signature carries no vector for feature space '" +
@@ -765,16 +578,20 @@ Result<QueryResponse> SearchEngine::QueryById(
   switch (request.mode) {
     case QueryMode::kTopK: {
       DESS_ASSIGN_OR_RETURN(const int ordinal, RequestOrdinal(request));
-      DESS_RETURN_NOT_OK(CheckRequestWeights(request, ordinal));
+      DESS_RETURN_NOT_OK(CheckWeights(request.weights, ordinal));
       const std::vector<double>* w =
           request.weights.empty() ? nullptr : &request.weights;
       DESS_ASSIGN_OR_RETURN(std::vector<double> raw,
                             db_->Feature(query_id, ordinal));
-      // Fetch one extra so the count survives dropping the query itself.
+      // Fetch one extra so the count survives dropping the query itself;
+      // saturate so an unbounded k (SIZE_MAX) still means "every shape".
+      const size_t fetch =
+          request.k == std::numeric_limits<size_t>::max() ? request.k
+                                                          : request.k + 1;
       const auto start = std::chrono::steady_clock::now();
       DESS_ASSIGN_OR_RETURN(
           response.results,
-          QueryTopKImpl(raw, ordinal, request.k + 1, w, &response.stats));
+          QueryTopKRaw(raw, ordinal, fetch, w, &response.stats));
       ExcludeAndTrim(&response.results, query_id, request.k);
       response.stage_timings.push_back(
           MakeStageTiming("search.query_topk", request.deadline, start,
@@ -783,7 +600,7 @@ Result<QueryResponse> SearchEngine::QueryById(
     }
     case QueryMode::kThreshold: {
       DESS_ASSIGN_OR_RETURN(const int ordinal, RequestOrdinal(request));
-      DESS_RETURN_NOT_OK(CheckRequestWeights(request, ordinal));
+      DESS_RETURN_NOT_OK(CheckWeights(request.weights, ordinal));
       const std::vector<double>* w =
           request.weights.empty() ? nullptr : &request.weights;
       DESS_ASSIGN_OR_RETURN(std::vector<double> raw,
@@ -813,72 +630,6 @@ Result<QueryResponse> SearchEngine::QueryById(
     }
   }
   return response;
-}
-
-Result<std::vector<SearchResult>> SearchEngine::QueryByIdTopK(
-    int query_id, FeatureKind kind, size_t k, bool exclude_query,
-    QueryStats* stats) const {
-  return QueryByIdTopK(query_id, static_cast<int>(kind), k, exclude_query,
-                       stats);
-}
-
-Result<std::vector<SearchResult>> SearchEngine::QueryByIdTopK(
-    int query_id, int ordinal, size_t k, bool exclude_query,
-    QueryStats* stats) const {
-  DESS_RETURN_NOT_OK(CheckOrdinal(ordinal));
-  DESS_ASSIGN_OR_RETURN(std::vector<double> raw,
-                        db_->Feature(query_id, ordinal));
-  // Fetch one extra so the count survives dropping the query itself.
-  DESS_ASSIGN_OR_RETURN(std::vector<SearchResult> results,
-                        QueryTopK(raw, ordinal, k + (exclude_query ? 1 : 0),
-                                  stats));
-  if (exclude_query) {
-    ExcludeAndTrim(&results, query_id, k);
-  }
-  return results;
-}
-
-Result<std::vector<SearchResult>> SearchEngine::QueryByIdTopK(
-    int query_id, const std::string& space_id, size_t k, bool exclude_query,
-    QueryStats* stats) const {
-  DESS_ASSIGN_OR_RETURN(const int ordinal, registry_->Resolve(space_id));
-  return QueryByIdTopK(query_id, ordinal, k, exclude_query, stats);
-}
-
-Result<std::vector<SearchResult>> SearchEngine::QueryByIdThreshold(
-    int query_id, FeatureKind kind, double min_similarity, bool exclude_query,
-    QueryStats* stats) const {
-  return QueryByIdThreshold(query_id, static_cast<int>(kind), min_similarity,
-                            exclude_query, stats);
-}
-
-Result<std::vector<SearchResult>> SearchEngine::QueryByIdThreshold(
-    int query_id, int ordinal, double min_similarity, bool exclude_query,
-    QueryStats* stats) const {
-  DESS_RETURN_NOT_OK(CheckOrdinal(ordinal));
-  DESS_ASSIGN_OR_RETURN(std::vector<double> raw,
-                        db_->Feature(query_id, ordinal));
-  DESS_ASSIGN_OR_RETURN(std::vector<SearchResult> results,
-                        QueryThreshold(raw, ordinal, min_similarity, stats));
-  if (exclude_query) {
-    ExcludeAndTrim(&results, query_id, /*k=*/0);
-  }
-  return results;
-}
-
-Result<std::vector<SearchResult>> SearchEngine::QueryByIdThreshold(
-    int query_id, const std::string& space_id, double min_similarity,
-    bool exclude_query, QueryStats* stats) const {
-  DESS_ASSIGN_OR_RETURN(const int ordinal, registry_->Resolve(space_id));
-  return QueryByIdThreshold(query_id, ordinal, min_similarity, exclude_query,
-                            stats);
-}
-
-Result<std::vector<SearchResult>> SearchEngine::Rerank(
-    const std::vector<int>& candidate_ids,
-    const std::vector<double>& raw_feature, FeatureKind kind,
-    size_t keep) const {
-  return Rerank(candidate_ids, raw_feature, static_cast<int>(kind), keep);
 }
 
 Result<std::vector<SearchResult>> SearchEngine::Rerank(

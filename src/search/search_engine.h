@@ -1,7 +1,6 @@
 #ifndef DESS_SEARCH_SEARCH_ENGINE_H_
 #define DESS_SEARCH_SEARCH_ENGINE_H_
 
-#include <array>
 #include <memory>
 #include <optional>
 #include <string>
@@ -19,7 +18,6 @@
 
 namespace dess {
 
-class DiskRTree;
 class ThreadPool;
 
 /// Immutable overlay of records ingested after an engine's main indexes
@@ -42,35 +40,14 @@ struct DeltaSideIndex {
   }
 };
 
-/// Which index structure backs each feature space.
-enum class IndexBackend {
-  kRTree,       // in-memory R-tree (the paper's DATABASE layer)
-  kLinearScan,  // brute-force baseline
-  kDiskRTree,   // paged on-disk R-tree behind a buffer pool (future work)
-};
-
 struct SearchEngineOptions {
-  /// Index every feature space with an R-tree (true, the paper's DATABASE
-  /// layer) or fall back to sequential scans (false, baseline). Ignored
-  /// when `backend` is set explicitly.
-  bool use_rtree = true;
   /// Standardize feature dimensions before distances (recommended: raw
   /// dimensions differ by orders of magnitude).
   bool standardize = true;
-  /// Explicit backend selection; kRTree/kLinearScan mirror `use_rtree`.
-  /// kDiskRTree persists one index file per feature space under
-  /// `disk_index_dir`. A space whose FeatureSpaceDef carries an explicit
-  /// IndexPreference overrides this engine-wide choice.
-  IndexBackend backend = IndexBackend::kRTree;
-  /// Directory for kDiskRTree index files (created if missing).
-  std::string disk_index_dir = ".";
-  /// Buffer-pool frames per on-disk index.
-  int disk_buffer_pages = 64;
-  /// String-keyed backend selection, resolved against `index_backends`;
-  /// takes precedence over `backend`/`use_rtree` when non-empty. A space
-  /// whose FeatureSpaceDef names a backend overrides this engine-wide
-  /// choice (see ResolveIndexBackendId for the full precedence).
-  std::string index_backend;
+  /// Engine-wide index backend id, resolved against `index_backends`. The
+  /// default R-tree is the paper's DATABASE layer; a space whose
+  /// FeatureSpaceDef names a backend overrides this choice.
+  std::string index_backend = kRTreeBackendId;
   /// Backend registry the engine resolves ids against. Null means the
   /// built-ins (linear_scan, rtree, hnsw).
   std::shared_ptr<const IndexBackendRegistry> index_backends;
@@ -92,12 +69,9 @@ struct SearchEngineOptions {
   std::shared_ptr<const FeatureSpaceRegistry> registry;
 };
 
-/// The backend id the engine will use for one space, in precedence order:
-/// the space's explicit FeatureSpaceDef::index_backend, its legacy
-/// IndexPreference, the engine-wide SearchEngineOptions::index_backend,
-/// and finally the legacy enum/use_rtree pair. Returns
-/// kDiskRTreeBackendId for the packed on-disk R-tree, which is selected
-/// like a backend but built outside the registry.
+/// The backend id the engine will use for one space: the space's
+/// FeatureSpaceDef::index_backend when set, else the engine-wide
+/// SearchEngineOptions::index_backend.
 std::string ResolveIndexBackendId(const SearchEngineOptions& options,
                                   const FeatureSpaceDef& def);
 
@@ -106,10 +80,11 @@ std::string ResolveIndexBackendId(const SearchEngineOptions& options,
 ///
 /// The engine shares ownership of the database view it was built from, so
 /// a built engine is self-contained and immutable: every query method is
-/// const and safe to call from many threads concurrently (the on-disk
-/// backend serializes its buffer pool internally). SetWeights is the one
-/// mutator and must not race with queries; snapshot-published engines never
-/// call it — per-query weights go through QueryRequest::weights instead.
+/// const and safe to call from many threads concurrently (a lazily reopened
+/// snapshot's on-disk R-tree serializes its buffer pool internally).
+/// SetWeights is the one mutator and must not race with queries;
+/// snapshot-published engines never call it — per-query weights go through
+/// QueryRequest::weights instead.
 class SearchEngine {
  public:
   /// Builds similarity spaces and indexes from the database contents. The
@@ -129,7 +104,8 @@ class SearchEngine {
   /// directory instead of recomputing them. `spaces[i]`/`indexes[i]` must
   /// describe the i-th space of the registry (options.registry, canonical
   /// when null) over exactly the shapes of `db`; dimensions and sizes are
-  /// validated, contents are trusted.
+  /// validated, contents are trusted. A null `indexes[i]` is built from
+  /// the packed rows by the space's resolved backend, as Build does.
   static Result<std::unique_ptr<SearchEngine>> Assemble(
       std::shared_ptr<const ShapeDatabase> db,
       const SearchEngineOptions& options,
@@ -248,94 +224,30 @@ class SearchEngine {
   Result<QueryResponse> QueryById(int query_id,
                                   const QueryRequest& request) const;
 
-  /// Replaces the per-dimension weights of one feature space. Size must
-  /// match the feature dim. Mutates the engine: only valid on an engine the
-  /// caller exclusively owns, never on one published in a snapshot (use
-  /// QueryRequest::weights there).
-  Status SetWeights(FeatureKind kind, const std::vector<double>& weights);
+  /// Replaces the per-dimension weights of the space at one registry
+  /// ordinal. Size must match the feature dim. Mutates the engine: only
+  /// valid on an engine the caller exclusively owns, never on one
+  /// published in a snapshot (use QueryRequest::weights there).
   Status SetWeights(int ordinal, const std::vector<double>& weights);
 
-  /// Top-k most similar shapes to a raw (unstandardized) query feature
-  /// vector, ascending by distance. The query need not be a database shape.
-  /// Every query entry point below exists in three addressing forms: by
-  /// legacy FeatureKind (canonical spaces), by registry ordinal, and by
-  /// space id (any registered space; unknown ids fail InvalidArgument).
-  Result<std::vector<SearchResult>> QueryTopK(
-      const std::vector<double>& raw_feature, FeatureKind kind, size_t k,
-      QueryStats* stats = nullptr) const;
-  Result<std::vector<SearchResult>> QueryTopK(
+  /// Top-k most similar shapes to one raw (unstandardized) feature vector
+  /// of the space at `ordinal`, ascending by distance — the primitive for
+  /// callers holding a single space's vector rather than a signature
+  /// (multi-step stage 0, relevance feedback). `weights` overrides the
+  /// space's installed weights when non-null (similarities are still
+  /// normalized by the installed d_max); it must match the feature dim and
+  /// be non-negative.
+  Result<std::vector<SearchResult>> QueryTopKRaw(
       const std::vector<double>& raw_feature, int ordinal, size_t k,
+      const std::vector<double>* weights = nullptr,
       QueryStats* stats = nullptr) const;
-  Result<std::vector<SearchResult>> QueryTopK(
-      const std::vector<double>& raw_feature, const std::string& space_id,
-      size_t k, QueryStats* stats = nullptr) const;
-
-  /// Like QueryTopK but with caller-supplied per-dimension weights instead
-  /// of the space's installed ones — the lock-free form of weight
-  /// reconfiguration (similarities are still normalized by the installed
-  /// d_max). Weights must match the feature dim and be non-negative.
-  Result<std::vector<SearchResult>> QueryTopKWeighted(
-      const std::vector<double>& raw_feature, FeatureKind kind, size_t k,
-      const std::vector<double>& weights, QueryStats* stats = nullptr) const;
-  Result<std::vector<SearchResult>> QueryTopKWeighted(
-      const std::vector<double>& raw_feature, int ordinal, size_t k,
-      const std::vector<double>& weights, QueryStats* stats = nullptr) const;
-
-  /// All shapes with similarity >= `min_similarity` (the paper's
-  /// threshold-filter workflow of Figure 7), ascending by distance.
-  Result<std::vector<SearchResult>> QueryThreshold(
-      const std::vector<double>& raw_feature, FeatureKind kind,
-      double min_similarity, QueryStats* stats = nullptr) const;
-  Result<std::vector<SearchResult>> QueryThreshold(
-      const std::vector<double>& raw_feature, int ordinal,
-      double min_similarity, QueryStats* stats = nullptr) const;
-  Result<std::vector<SearchResult>> QueryThreshold(
-      const std::vector<double>& raw_feature, const std::string& space_id,
-      double min_similarity, QueryStats* stats = nullptr) const;
-
-  /// Threshold query with caller-supplied weights (see QueryTopKWeighted).
-  Result<std::vector<SearchResult>> QueryThresholdWeighted(
-      const std::vector<double>& raw_feature, FeatureKind kind,
-      double min_similarity, const std::vector<double>& weights,
-      QueryStats* stats = nullptr) const;
-  Result<std::vector<SearchResult>> QueryThresholdWeighted(
-      const std::vector<double>& raw_feature, int ordinal,
-      double min_similarity, const std::vector<double>& weights,
-      QueryStats* stats = nullptr) const;
-
-  /// Query by a database shape's own feature vector. If `exclude_query`,
-  /// the query shape itself is dropped from the results (the paper does not
-  /// count the query, "because it is guaranteed to be retrieved").
-  Result<std::vector<SearchResult>> QueryByIdTopK(
-      int query_id, FeatureKind kind, size_t k, bool exclude_query = true,
-      QueryStats* stats = nullptr) const;
-  Result<std::vector<SearchResult>> QueryByIdTopK(
-      int query_id, int ordinal, size_t k, bool exclude_query = true,
-      QueryStats* stats = nullptr) const;
-  Result<std::vector<SearchResult>> QueryByIdTopK(
-      int query_id, const std::string& space_id, size_t k,
-      bool exclude_query = true, QueryStats* stats = nullptr) const;
-
-  Result<std::vector<SearchResult>> QueryByIdThreshold(
-      int query_id, FeatureKind kind, double min_similarity,
-      bool exclude_query = true, QueryStats* stats = nullptr) const;
-  Result<std::vector<SearchResult>> QueryByIdThreshold(
-      int query_id, int ordinal, double min_similarity,
-      bool exclude_query = true, QueryStats* stats = nullptr) const;
-  Result<std::vector<SearchResult>> QueryByIdThreshold(
-      int query_id, const std::string& space_id, double min_similarity,
-      bool exclude_query = true, QueryStats* stats = nullptr) const;
 
   /// Re-ranks an explicit candidate set by distance to the query in the
-  /// given feature space — the second and later passes of multi-step
+  /// space at `ordinal` — the second and later passes of multi-step
   /// search. Candidates not in the database are an error. `keep` > 0
   /// returns only the best `keep` results (partial selection instead of a
   /// full sort — identical to sorting and truncating, ties break by id);
   /// 0 keeps every candidate.
-  Result<std::vector<SearchResult>> Rerank(
-      const std::vector<int>& candidate_ids,
-      const std::vector<double>& raw_feature, FeatureKind kind,
-      size_t keep = 0) const;
   Result<std::vector<SearchResult>> Rerank(
       const std::vector<int>& candidate_ids,
       const std::vector<double>& raw_feature, int ordinal,
@@ -352,29 +264,26 @@ class SearchEngine {
   /// through the registry), else the legacy request.kind.
   Result<int> RequestOrdinal(const QueryRequest& request) const;
 
-  /// Shared top-k path; `weights` nullptr means the space's installed
-  /// weights.
-  Result<std::vector<SearchResult>> QueryTopKImpl(
-      const std::vector<double>& raw_feature, int ordinal, size_t k,
-      const std::vector<double>* weights, QueryStats* stats) const;
-
   Result<std::vector<SearchResult>> QueryThresholdImpl(
       const std::vector<double>& raw_feature, int ordinal,
       double min_similarity, const std::vector<double>* weights,
       QueryStats* stats) const;
 
-  /// Validates request.weights against the space at `ordinal` (empty is
+  /// Validates per-query weights against the space at `ordinal` (empty is
   /// always valid).
-  Status CheckRequestWeights(const QueryRequest& request, int ordinal) const;
+  Status CheckWeights(const std::vector<double>& weights, int ordinal) const;
 
   /// Packs every space's standardized vectors into blocks_ (record order)
   /// and fills row_of_. Shared by Build, Rebuild and Assemble.
   Status PackSignatureBlocks();
 
-  /// Builds the per-space backend indexes from the packed blocks (honors
-  /// options_.backend and per-space preferences). Shared by Build and
-  /// Rebuild; requires blocks_ to be packed.
+  /// Builds the per-space backend indexes from the packed blocks. Shared
+  /// by Build and Rebuild; requires blocks_ to be packed.
   Status BuildIndexes();
+
+  /// Builds one space's index from its packed block through the resolved
+  /// backend's factory; requires backend_info_ and blocks_.
+  Status BuildIndex(int ordinal);
 
   /// Validates `spaces` against the registry (ids, weight dims) — shared
   /// by Assemble and Rebuild.
@@ -409,13 +318,6 @@ class SearchEngine {
   std::shared_ptr<const std::unordered_map<int, size_t>> row_of_;
   std::shared_ptr<const DeltaSideIndex> side_;
 };
-
-/// Wraps an opened DiskRTree in the MultiDimIndex interface (queries are
-/// serialized internally — the buffer pool mutates frame state on every
-/// fetch). Used by SearchEngine::Build's kDiskRTree backend and by the
-/// persistence layer when reopening a snapshot's packed index files.
-std::unique_ptr<MultiDimIndex> MakeDiskIndexAdapter(
-    std::unique_ptr<DiskRTree> tree);
 
 }  // namespace dess
 

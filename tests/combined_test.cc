@@ -7,6 +7,7 @@ namespace dess {
 namespace {
 
 using testing_util::BuildSyntheticFeatureDb;
+using testing_util::Results;
 
 class CombinedTest : public ::testing::Test {
  protected:
@@ -67,7 +68,7 @@ TEST_F(CombinedTest, SingleFeatureWeightsMatchOneShotRanking) {
   const FeatureKind kind = FeatureKind::kPrincipalMoments;
   auto combined =
       CombinedQueryById(*engine_, 3, CombinationWeights::Only(kind), 8);
-  auto one_shot = engine_->QueryByIdTopK(3, kind, 8);
+  auto one_shot = Results(engine_->QueryById(3, QueryRequest::TopK(kind, 8)));
   ASSERT_TRUE(combined.ok() && one_shot.ok());
   ASSERT_EQ(combined->size(), one_shot->size());
   for (size_t i = 0; i < combined->size(); ++i) {

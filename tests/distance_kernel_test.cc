@@ -27,6 +27,8 @@
 namespace dess {
 namespace {
 
+using testing_util::Results;
+
 std::vector<double> RandomVector(Rng* rng, size_t dim, double lo = -2.0,
                                  double hi = 2.0) {
   std::vector<double> v(dim);
@@ -251,7 +253,7 @@ class BlockScanIdentityTest : public ::testing::Test {
         testing_util::BuildSyntheticFeatureDb(26, 3, 35, 777, 0.05, 1.0,
                                               extra));
     SearchEngineOptions opt;
-    opt.backend = IndexBackend::kLinearScan;
+    opt.index_backend = kLinearScanBackendId;
     opt.registry = testing_util::MakeSyntheticRegistry(extra);
     auto engine = SearchEngine::Build(db_, opt);
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();
@@ -290,7 +292,8 @@ TEST_F(BlockScanIdentityTest, TopKMatchesPerVectorReferenceEverySpace) {
   const std::vector<int> probes = {ids_[0], ids_[56], ids_[112]};
   for (int ordinal = 0; ordinal < engine_->NumSpaces(); ++ordinal) {
     for (int query_id : probes) {
-      auto got = engine_->QueryByIdTopK(query_id, ordinal, 10);
+      auto got = Results(engine_->QueryById(
+          query_id, QueryRequest::TopK(engine_->registry().id(ordinal), 10)));
       ASSERT_TRUE(got.ok()) << got.status().ToString();
       const std::vector<SearchResult> want =
           ReferenceTopK(query_id, ordinal, 10);
@@ -483,14 +486,16 @@ TEST_F(BlockScanIdentityTest, RebuildFromSameSeedIsDeterministic) {
       testing_util::BuildSyntheticFeatureDb(26, 3, 35, 777, 0.05, 1.0,
                                             extra));
   SearchEngineOptions opt;
-  opt.backend = IndexBackend::kLinearScan;
+  opt.index_backend = kLinearScanBackendId;
   opt.registry = testing_util::MakeSyntheticRegistry(extra);
   auto engine2 = SearchEngine::Build(db2, opt);
   ASSERT_TRUE(engine2.ok());
   const int query_id = ids_[7];
   for (int ordinal = 0; ordinal < engine_->NumSpaces(); ++ordinal) {
-    auto a = engine_->QueryByIdTopK(query_id, ordinal, 10);
-    auto b = (*engine2)->QueryByIdTopK(query_id, ordinal, 10);
+    const QueryRequest request =
+        QueryRequest::TopK(engine_->registry().id(ordinal), 10);
+    auto a = Results(engine_->QueryById(query_id, request));
+    auto b = Results((*engine2)->QueryById(query_id, request));
     ASSERT_TRUE(a.ok() && b.ok());
     ASSERT_EQ(a->size(), b->size());
     for (size_t i = 0; i < a->size(); ++i) {

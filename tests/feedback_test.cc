@@ -8,6 +8,8 @@ namespace dess {
 namespace {
 
 using testing_util::BuildSyntheticFeatureDb;
+using testing_util::Results;
+using testing_util::SignatureWith;
 
 class FeedbackTest : public ::testing::Test {
  protected:
@@ -141,7 +143,8 @@ TEST_F(FeedbackTest, FeedbackRoundImprovesRecallForNoisyQuery) {
   auto q = db_.Feature(query, kind);
   ASSERT_TRUE(q.ok());
 
-  auto first = engine_->QueryTopK(*q, kind, 8);
+  auto first = Results(engine_->Query(SignatureWith(static_cast<int>(kind), *q),
+                                      QueryRequest::TopK(kind, 8)));
   ASSERT_TRUE(first.ok());
   int hits_before = 0;
   Feedback fb;

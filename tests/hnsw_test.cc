@@ -23,6 +23,7 @@ namespace dess {
 namespace {
 
 using testing_util::BuildSyntheticFeatureDb;
+using testing_util::Results;
 using testing_util::SyntheticExtraSpace;
 
 SignatureBlock RandomBlock(size_t n, int dim, uint64_t seed) {
@@ -64,7 +65,7 @@ TEST(HnswTest, EngineBuildDeterministicAcrossPools) {
       BuildSyntheticFeatureDb(10, 10, 13, 321, 0.05, 1.0, extra));
 
   SearchEngineOptions serial_opt;
-  serial_opt.backend = IndexBackend::kLinearScan;
+  serial_opt.index_backend = kLinearScanBackendId;
   serial_opt.registry = testing_util::MakeSyntheticRegistry(extra);
   auto serial = SearchEngine::Build(db, serial_opt);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
@@ -80,11 +81,11 @@ TEST(HnswTest, EngineBuildDeterministicAcrossPools) {
   // The engine clears the borrowed pool from its stored options.
   EXPECT_EQ((*parallel)->options().build_pool, nullptr);
 
+  const QueryRequest request =
+      QueryRequest::TopK((*serial)->registry().id(kNumFeatureKinds), 10);
   for (const ShapeRecord& rec : db->records()) {
-    const std::vector<double>& q =
-        rec.signature.At(kNumFeatureKinds).values;
-    auto a = (*serial)->QueryTopK(q, kNumFeatureKinds, 10);
-    auto b = (*parallel)->QueryTopK(q, kNumFeatureKinds, 10);
+    auto a = Results((*serial)->Query(rec.signature, request));
+    auto b = Results((*parallel)->Query(rec.signature, request));
     ASSERT_TRUE(a.ok() && b.ok());
     ASSERT_EQ(*a, *b);
   }
@@ -102,13 +103,13 @@ TEST(HnswTest, RecallClearsAcceptanceBarOnStandardCorpus) {
       BuildSyntheticFeatureDb(26, 3, 35, 12345, 0.05, 1.0, exact_extra));
 
   SearchEngineOptions exact_opt;
-  exact_opt.backend = IndexBackend::kLinearScan;
+  exact_opt.index_backend = kLinearScanBackendId;
   exact_opt.registry = testing_util::MakeSyntheticRegistry(exact_extra);
   auto exact = SearchEngine::Build(db, exact_opt);
   ASSERT_TRUE(exact.ok());
 
   SearchEngineOptions ann_opt;
-  ann_opt.backend = IndexBackend::kLinearScan;
+  ann_opt.index_backend = kLinearScanBackendId;
   ann_opt.registry = testing_util::MakeSyntheticRegistry(ann_extra);
   auto ann = SearchEngine::Build(db, ann_opt);
   ASSERT_TRUE(ann.ok()) << ann.status().ToString();
@@ -130,16 +131,16 @@ TEST(HnswTest, ApproximateResultsAreExactlyRescored) {
       BuildSyntheticFeatureDb(8, 8, 0, 99, 0.05, 1.0, ann_extra));
 
   SearchEngineOptions ann_opt;
-  ann_opt.backend = IndexBackend::kLinearScan;
+  ann_opt.index_backend = kLinearScanBackendId;
   ann_opt.registry = testing_util::MakeSyntheticRegistry(ann_extra);
   auto ann = SearchEngine::Build(db, ann_opt);
   ASSERT_TRUE(ann.ok());
 
-  const std::vector<double>& q =
-      (*db->Get(5))->signature.At(kNumFeatureKinds).values;
-  auto approx = (*ann)->QueryTopK(q, kNumFeatureKinds, 8);
+  const ShapeSignature& q = (*db->Get(5))->signature;
+  const std::string& space = (*ann)->registry().id(kNumFeatureKinds);
+  auto approx = Results((*ann)->Query(q, QueryRequest::TopK(space, 8)));
   ASSERT_TRUE(approx.ok());
-  auto truth = (*ann)->QueryThreshold(q, kNumFeatureKinds, 0.0);
+  auto truth = Results((*ann)->Query(q, QueryRequest::Threshold(space, 0.0)));
   ASSERT_TRUE(truth.ok());  // threshold falls back to an exact full scan
   for (const SearchResult& r : *approx) {
     bool found = false;

@@ -1,9 +1,7 @@
 // Pins the index-backend registry contract: the built-in seeding, the
 // unknown-id error taxonomy (InvalidArgument listing the registered ids,
 // mirroring the unknown-feature-space taxonomy of query_api_test), custom
-// backend registration end to end through the engine, and — the refactor's
-// core promise — string-selected exact backends answering bit-identically
-// to the legacy enum selection across every query mode.
+// backend registration end to end through the engine.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +13,6 @@
 #include "src/common/metrics.h"
 #include "src/index/index_backend.h"
 #include "src/index/linear_scan.h"
-#include "src/search/multistep.h"
 #include "src/search/search_engine.h"
 #include "tests/test_util.h"
 
@@ -23,6 +20,7 @@ namespace dess {
 namespace {
 
 using testing_util::BuildSyntheticFeatureDb;
+using testing_util::Results;
 
 TEST(IndexBackendRegistryTest, SeededWithBuiltIns) {
   IndexBackendRegistry registry;
@@ -30,9 +28,6 @@ TEST(IndexBackendRegistryTest, SeededWithBuiltIns) {
   EXPECT_GE(registry.IndexOf(kLinearScanBackendId), 0);
   EXPECT_GE(registry.IndexOf(kRTreeBackendId), 0);
   EXPECT_GE(registry.IndexOf(kHnswBackendId), 0);
-  // The packed on-disk R-tree is addressed by id but built outside the
-  // registry (it needs engine filesystem options).
-  EXPECT_EQ(registry.IndexOf(kDiskRTreeBackendId), -1);
 
   auto linear = registry.Resolve(kLinearScanBackendId);
   ASSERT_TRUE(linear.ok());
@@ -140,15 +135,16 @@ TEST(IndexBackendRegistryTest, CustomBackendServesQueriesAndMetrics) {
   EXPECT_TRUE((*mirror)->IsExactAt(0));
 
   SearchEngineOptions scan_opt;
-  scan_opt.backend = IndexBackend::kLinearScan;
+  scan_opt.index_backend = kLinearScanBackendId;
   auto scan = SearchEngine::Build(db, scan_opt);
   ASSERT_TRUE(scan.ok());
 
-  const std::vector<double>& q =
-      (*db->Get(0))->signature.At(0).values;
+  const ShapeSignature& q = (*db->Get(0))->signature;
+  const QueryRequest request =
+      QueryRequest::TopK((*mirror)->registry().id(0), 5);
   MetricsRegistry::Global()->Reset();
-  auto got = (*mirror)->QueryTopK(q, 0, 5);
-  auto want = (*scan)->QueryTopK(q, 0, 5);
+  auto got = Results((*mirror)->Query(q, request));
+  auto want = Results((*scan)->Query(q, request));
   ASSERT_TRUE(got.ok());
   ASSERT_TRUE(want.ok());
   EXPECT_EQ(*got, *want);
@@ -164,70 +160,6 @@ TEST(IndexBackendRegistryTest, CustomBackendServesQueriesAndMetrics) {
   }
   EXPECT_TRUE(saw_family) << snap.DumpText();
 }
-
-// The refactor's compatibility bar: selecting an exact backend through the
-// string registry answers bit-identically to the legacy enum selection, in
-// every query mode. Exact double equality — not tolerance — because the
-// registry path must run the very same kernels over the same blocks.
-class ExactBackendParityTest
-    : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(ExactBackendParityTest, BitIdenticalToEnumSelection) {
-  const std::string id = GetParam();
-  const auto db = std::make_shared<ShapeDatabase>(
-      BuildSyntheticFeatureDb(6, 4, 5));
-
-  SearchEngineOptions legacy;
-  legacy.backend = id == kRTreeBackendId ? IndexBackend::kRTree
-                                         : IndexBackend::kLinearScan;
-  auto enum_engine = SearchEngine::Build(db, legacy);
-  ASSERT_TRUE(enum_engine.ok());
-
-  SearchEngineOptions keyed;
-  keyed.index_backend = id;
-  auto string_engine = SearchEngine::Build(db, keyed);
-  ASSERT_TRUE(string_engine.ok()) << string_engine.status().ToString();
-  EXPECT_EQ((*string_engine)->BackendIdAt(0), id);
-  EXPECT_TRUE((*string_engine)->IsExactAt(0));
-
-  const size_t all = db->NumShapes();
-  for (int ordinal = 0; ordinal < (*enum_engine)->NumSpaces(); ++ordinal) {
-    const std::vector<double>& q =
-        (*db->Get(1))->signature.At(ordinal).values;
-
-    auto a = (*enum_engine)->QueryTopK(q, ordinal, all);
-    auto b = (*string_engine)->QueryTopK(q, ordinal, all);
-    ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(*a, *b) << "QueryTopK space " << ordinal;
-
-    auto at = (*enum_engine)->QueryThreshold(q, ordinal, 0.5);
-    auto bt = (*string_engine)->QueryThreshold(q, ordinal, 0.5);
-    ASSERT_TRUE(at.ok() && bt.ok());
-    EXPECT_EQ(*at, *bt) << "QueryThreshold space " << ordinal;
-
-    std::vector<double> w((*enum_engine)->SpaceAt(ordinal).weights.size(),
-                          2.0);
-    auto aw = (*enum_engine)->QueryTopKWeighted(q, ordinal, 7, w);
-    auto bw = (*string_engine)->QueryTopKWeighted(q, ordinal, 7, w);
-    ASSERT_TRUE(aw.ok() && bw.ok());
-    EXPECT_EQ(*aw, *bw) << "QueryTopKWeighted space " << ordinal;
-
-    auto ai = (*enum_engine)->QueryByIdTopK(2, ordinal, 5);
-    auto bi = (*string_engine)->QueryByIdTopK(2, ordinal, 5);
-    ASSERT_TRUE(ai.ok() && bi.ok());
-    EXPECT_EQ(*ai, *bi) << "QueryByIdTopK space " << ordinal;
-  }
-
-  auto am = MultiStepQueryById(**enum_engine, 3, MultiStepPlan::Standard());
-  auto bm = MultiStepQueryById(**string_engine, 3,
-                               MultiStepPlan::Standard());
-  ASSERT_TRUE(am.ok() && bm.ok());
-  EXPECT_EQ(*am, *bm) << "MultiStepQueryById";
-}
-
-INSTANTIATE_TEST_SUITE_P(ExactBackends, ExactBackendParityTest,
-                         ::testing::Values(kLinearScanBackendId,
-                                           kRTreeBackendId));
 
 }  // namespace
 }  // namespace dess

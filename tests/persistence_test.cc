@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/common/metrics.h"
 #include "src/core/persistence.h"
@@ -469,6 +470,50 @@ TEST_F(PersistenceTest, StrippedGraphSectionFallsBackToRebuild) {
   auto restored = (*reopened)->QueryByShapeId(3, topk);
   ASSERT_TRUE(original.ok() && restored.ok());
   ExpectSameAnswers(*original, *restored);
+}
+
+TEST_F(PersistenceTest, ReopenedHomeServesTheConfiguredBackend) {
+  // A home configured for linear scans keeps serving linear scans after a
+  // restart: the snapshot's packed R-tree files serve `rtree` spaces only.
+  SystemOptions options;
+  options.search.index_backend = kLinearScanBackendId;
+  const std::string home = SnapDir("home");
+  const QueryRequest request =
+      QueryRequest::TopK(FeatureKind::kPrincipalMoments, 6);
+  std::vector<int> query_ids;
+  std::vector<QueryResponse> before;
+  {
+    auto system = Dess3System::Open(home, {}, options);
+    ASSERT_TRUE(system.ok()) << system.status().ToString();
+    for (const ShapeRecord& rec : system_.db().records()) {
+      auto id = (*system)->Ingest(rec, {});
+      ASSERT_TRUE(id.ok()) << id.status().ToString();
+      if (query_ids.size() < 3) query_ids.push_back(*id);
+    }
+    ASSERT_TRUE((*system)->Commit().ok());
+    for (int id : query_ids) {
+      auto response = (*system)->QueryByShapeId(id, request);
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      before.push_back(*response);
+    }
+  }
+
+  auto reopened = Dess3System::Open(home, {}, options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  auto snapshot = (*reopened)->CurrentSnapshot();
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  const SearchEngine& engine = (*snapshot)->engine();
+  for (int ordinal = 0; ordinal < engine.NumSpaces(); ++ordinal) {
+    EXPECT_EQ(engine.BackendIdAt(ordinal), kLinearScanBackendId);
+  }
+
+  MetricsRegistry::Global()->Reset();
+  for (size_t i = 0; i < query_ids.size(); ++i) {
+    auto restored = (*reopened)->QueryByShapeId(query_ids[i], request);
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    ExpectSameAnswers(before[i], *restored);
+  }
+  EXPECT_EQ(GlobalCounter("index.linear_scan.queries"), query_ids.size());
 }
 
 TEST_F(PersistenceTest, SkippingChecksumVerificationStillRoundTrips) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
 
 #include "src/core/system.h"
 #include "tests/test_util.h"
@@ -181,6 +182,25 @@ TEST_F(QueryApiTest, ThresholdModeHonorsFloor) {
   for (const SearchResult& r : response->results) {
     EXPECT_GE(r.similarity, 0.9);
     EXPECT_NE(r.id, 0);
+  }
+}
+
+TEST_F(QueryApiTest, UnboundedByIdTopKReturnsEveryOtherShape) {
+  // k arrives unchecked from the wire; the largest k means "every shape",
+  // by id exactly as by signature (the by-id path fetches k + 1 to drop
+  // the query shape itself, which must not wrap to zero).
+  ASSERT_TRUE(system_->Commit().ok());
+  const FeatureKind kind = FeatureKind::kPrincipalMoments;
+  auto unbounded = system_->QueryByShapeId(
+      0, QueryRequest::TopK(kind, std::numeric_limits<size_t>::max()));
+  auto all = system_->QueryByShapeId(
+      0, QueryRequest::TopK(kind, system_->db().NumShapes()));
+  ASSERT_TRUE(unbounded.ok()) << unbounded.status().ToString();
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  EXPECT_EQ(all->results.size(), db_.NumShapes() - 1);
+  ASSERT_EQ(unbounded->results.size(), all->results.size());
+  for (size_t i = 0; i < all->results.size(); ++i) {
+    EXPECT_TRUE(unbounded->results[i] == all->results[i]) << "rank " << i;
   }
 }
 

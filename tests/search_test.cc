@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
-#include <unistd.h>
 
 #include "src/search/multistep.h"
 #include "src/search/search_engine.h"
@@ -12,6 +10,8 @@ namespace dess {
 namespace {
 
 using testing_util::BuildSyntheticFeatureDb;
+using testing_util::Results;
+using testing_util::SignatureWith;
 
 class SearchEngineTest : public ::testing::Test {
  protected:
@@ -36,8 +36,8 @@ TEST_F(SearchEngineTest, QueryByIdFindsGroupMembersFirst) {
   // With tight groups, the top-(group_size-1) results for any member are
   // its group mates.
   for (int q : {0, 5, 17}) {
-    auto results = engine_->QueryByIdTopK(q, FeatureKind::kPrincipalMoments,
-                                          4);
+    auto results = Results(engine_->QueryById(
+        q, QueryRequest::TopK(FeatureKind::kPrincipalMoments, 4)));
     ASSERT_TRUE(results.ok());
     ASSERT_EQ(results->size(), 4u);
     auto qrec = db_.Get(q);
@@ -53,7 +53,8 @@ TEST_F(SearchEngineTest, QueryByIdFindsGroupMembersFirst) {
 
 TEST_F(SearchEngineTest, ResultsSortedAscendingByDistance) {
   auto results =
-      engine_->QueryByIdTopK(3, FeatureKind::kMomentInvariants, 20);
+      Results(engine_->QueryById(
+          3, QueryRequest::TopK(FeatureKind::kMomentInvariants, 20)));
   ASSERT_TRUE(results.ok());
   for (size_t i = 1; i < results->size(); ++i) {
     EXPECT_LE((*results)[i - 1].distance, (*results)[i].distance);
@@ -61,7 +62,8 @@ TEST_F(SearchEngineTest, ResultsSortedAscendingByDistance) {
 }
 
 TEST_F(SearchEngineTest, SimilarityInUnitRangeAndMonotone) {
-  auto results = engine_->QueryByIdTopK(0, FeatureKind::kSpectral, 30);
+  auto results = Results(
+      engine_->QueryById(0, QueryRequest::TopK(FeatureKind::kSpectral, 30)));
   ASSERT_TRUE(results.ok());
   for (size_t i = 0; i < results->size(); ++i) {
     EXPECT_GE((*results)[i].similarity, 0.0);
@@ -76,10 +78,11 @@ TEST_F(SearchEngineTest, ThresholdQueryEquivalence) {
   // Threshold query returns exactly the shapes whose similarity >= t.
   const double t = 0.8;
   auto thresh =
-      engine_->QueryByIdThreshold(2, FeatureKind::kGeometricParams, t);
+      Results(engine_->QueryById(
+          2, QueryRequest::Threshold(FeatureKind::kGeometricParams, t)));
   ASSERT_TRUE(thresh.ok());
-  auto all = engine_->QueryByIdTopK(2, FeatureKind::kGeometricParams,
-                                    db_.NumShapes());
+  auto all = Results(engine_->QueryById(
+      2, QueryRequest::TopK(FeatureKind::kGeometricParams, db_.NumShapes())));
   ASSERT_TRUE(all.ok());
   std::set<int> expected;
   for (const SearchResult& r : *all) {
@@ -92,26 +95,42 @@ TEST_F(SearchEngineTest, ThresholdQueryEquivalence) {
 
 TEST_F(SearchEngineTest, ThresholdZeroReturnsWholeDatabase) {
   auto results =
-      engine_->QueryByIdThreshold(0, FeatureKind::kPrincipalMoments, 0.0);
+      Results(engine_->QueryById(
+          0, QueryRequest::Threshold(FeatureKind::kPrincipalMoments, 0.0)));
   ASSERT_TRUE(results.ok());
   EXPECT_EQ(results->size(), db_.NumShapes() - 1);  // minus the query
 }
 
 TEST_F(SearchEngineTest, QueryDimensionMismatchRejected) {
   EXPECT_FALSE(
-      engine_->QueryTopK({1.0, 2.0}, FeatureKind::kSpectral, 3).ok());
-  EXPECT_FALSE(engine_
-                   ->QueryThreshold({1.0}, FeatureKind::kPrincipalMoments,
-                                    0.5)
-                   .ok());
+      engine_
+          ->Query(SignatureWith(static_cast<int>(FeatureKind::kSpectral),
+                                {1.0, 2.0}),
+                  QueryRequest::TopK(FeatureKind::kSpectral, 3))
+          .ok());
+  EXPECT_FALSE(
+      engine_
+          ->Query(SignatureWith(
+                      static_cast<int>(FeatureKind::kPrincipalMoments), {1.0}),
+                  QueryRequest::Threshold(FeatureKind::kPrincipalMoments, 0.5))
+          .ok());
 }
 
 TEST_F(SearchEngineTest, BadThresholdRejected) {
-  std::vector<double> q(FeatureDim(FeatureKind::kPrincipalMoments), 0.0);
+  const ShapeSignature q =
+      SignatureWith(static_cast<int>(FeatureKind::kPrincipalMoments),
+                    std::vector<double>(
+                        FeatureDim(FeatureKind::kPrincipalMoments), 0.0));
   EXPECT_FALSE(
-      engine_->QueryThreshold(q, FeatureKind::kPrincipalMoments, 1.5).ok());
+      engine_
+          ->Query(q, QueryRequest::Threshold(FeatureKind::kPrincipalMoments,
+                                             1.5))
+          .ok());
   EXPECT_FALSE(
-      engine_->QueryThreshold(q, FeatureKind::kPrincipalMoments, -0.1).ok());
+      engine_
+          ->Query(q, QueryRequest::Threshold(FeatureKind::kPrincipalMoments,
+                                             -0.1))
+          .ok());
 }
 
 TEST_F(SearchEngineTest, ExternalQueryVectorWorks) {
@@ -119,7 +138,9 @@ TEST_F(SearchEngineTest, ExternalQueryVectorWorks) {
   // shape 0 comes back at distance ~0.
   auto f = db_.Feature(0, FeatureKind::kPrincipalMoments);
   ASSERT_TRUE(f.ok());
-  auto results = engine_->QueryTopK(*f, FeatureKind::kPrincipalMoments, 1);
+  auto results = Results(engine_->Query(
+      SignatureWith(static_cast<int>(FeatureKind::kPrincipalMoments), *f),
+      QueryRequest::TopK(FeatureKind::kPrincipalMoments, 1)));
   ASSERT_TRUE(results.ok());
   ASSERT_EQ(results->size(), 1u);
   EXPECT_EQ((*results)[0].id, 0);
@@ -129,12 +150,13 @@ TEST_F(SearchEngineTest, ExternalQueryVectorWorks) {
 
 TEST_F(SearchEngineTest, RtreeAndScanGiveIdenticalResults) {
   SearchEngineOptions scan_opt;
-  scan_opt.use_rtree = false;
+  scan_opt.index_backend = kLinearScanBackendId;
   auto scan_engine = SearchEngine::Build(&db_, scan_opt);
   ASSERT_TRUE(scan_engine.ok());
   for (FeatureKind kind : AllFeatureKinds()) {
-    auto a = engine_->QueryByIdTopK(7, kind, 12);
-    auto b = (*scan_engine)->QueryByIdTopK(7, kind, 12);
+    auto a = Results(engine_->QueryById(7, QueryRequest::TopK(kind, 12)));
+    auto b =
+        Results((*scan_engine)->QueryById(7, QueryRequest::TopK(kind, 12)));
     ASSERT_TRUE(a.ok() && b.ok());
     ASSERT_EQ(a->size(), b->size());
     for (size_t i = 0; i < a->size(); ++i) {
@@ -146,12 +168,14 @@ TEST_F(SearchEngineTest, RtreeAndScanGiveIdenticalResults) {
 
 TEST_F(SearchEngineTest, SetWeightsChangesRanking) {
   std::vector<double> w(FeatureDim(FeatureKind::kPrincipalMoments), 1.0);
-  ASSERT_TRUE(engine_->SetWeights(FeatureKind::kPrincipalMoments, w).ok());
-  auto before =
-      engine_->QueryByIdTopK(0, FeatureKind::kPrincipalMoments, 10);
+  const int ordinal = static_cast<int>(FeatureKind::kPrincipalMoments);
+  const QueryRequest request =
+      QueryRequest::TopK(FeatureKind::kPrincipalMoments, 10);
+  ASSERT_TRUE(engine_->SetWeights(ordinal, w).ok());
+  auto before = Results(engine_->QueryById(0, request));
   w = {100.0, 0.01, 0.01};
-  ASSERT_TRUE(engine_->SetWeights(FeatureKind::kPrincipalMoments, w).ok());
-  auto after = engine_->QueryByIdTopK(0, FeatureKind::kPrincipalMoments, 10);
+  ASSERT_TRUE(engine_->SetWeights(ordinal, w).ok());
+  auto after = Results(engine_->QueryById(0, request));
   ASSERT_TRUE(before.ok() && after.ok());
   // Distances must change under the new metric.
   bool any_diff = false;
@@ -165,20 +189,17 @@ TEST_F(SearchEngineTest, SetWeightsChangesRanking) {
 }
 
 TEST_F(SearchEngineTest, SetWeightsValidation) {
-  EXPECT_FALSE(
-      engine_->SetWeights(FeatureKind::kPrincipalMoments, {1.0}).ok());
-  EXPECT_FALSE(engine_
-                   ->SetWeights(FeatureKind::kPrincipalMoments,
-                                {1.0, -2.0, 1.0})
-                   .ok());
+  const int ordinal = static_cast<int>(FeatureKind::kPrincipalMoments);
+  EXPECT_FALSE(engine_->SetWeights(ordinal, {1.0}).ok());
+  EXPECT_FALSE(engine_->SetWeights(ordinal, {1.0, -2.0, 1.0}).ok());
 }
 
 TEST_F(SearchEngineTest, RerankOrdersCandidatesByOtherFeature) {
   auto f = db_.Feature(0, FeatureKind::kGeometricParams);
   ASSERT_TRUE(f.ok());
   std::vector<int> candidates{10, 20, 30, 1, 2};
-  auto reranked =
-      engine_->Rerank(candidates, *f, FeatureKind::kGeometricParams);
+  auto reranked = engine_->Rerank(
+      candidates, *f, static_cast<int>(FeatureKind::kGeometricParams));
   ASSERT_TRUE(reranked.ok());
   ASSERT_EQ(reranked->size(), candidates.size());
   for (size_t i = 1; i < reranked->size(); ++i) {
@@ -192,7 +213,9 @@ TEST_F(SearchEngineTest, RerankUnknownIdFails) {
   auto f = db_.Feature(0, FeatureKind::kGeometricParams);
   ASSERT_TRUE(f.ok());
   EXPECT_FALSE(
-      engine_->Rerank({9999}, *f, FeatureKind::kGeometricParams).ok());
+      engine_
+          ->Rerank({9999}, *f, static_cast<int>(FeatureKind::kGeometricParams))
+          .ok());
 }
 
 TEST_F(SearchEngineTest, RawModeSkipsStandardization) {
@@ -220,42 +243,16 @@ TEST_F(SearchEngineTest, RawAndStandardizedModesRankConsistentlyOnTightGroups) {
   auto raw_engine = SearchEngine::Build(&db_, raw_opt);
   ASSERT_TRUE(raw_engine.ok());
   for (int q : {0, 10, 25}) {
-    auto a = engine_->QueryByIdTopK(q, FeatureKind::kPrincipalMoments, 4);
-    auto b =
-        (*raw_engine)->QueryByIdTopK(q, FeatureKind::kPrincipalMoments, 4);
+    const QueryRequest request =
+        QueryRequest::TopK(FeatureKind::kPrincipalMoments, 4);
+    auto a = Results(engine_->QueryById(q, request));
+    auto b = Results((*raw_engine)->QueryById(q, request));
     ASSERT_TRUE(a.ok() && b.ok());
     std::set<int> sa, sb;
     for (const SearchResult& r : *a) sa.insert(r.id);
     for (const SearchResult& r : *b) sb.insert(r.id);
     EXPECT_EQ(sa, sb) << "query " << q;
   }
-}
-
-TEST_F(SearchEngineTest, DiskBackendMatchesInMemory) {
-  SearchEngineOptions disk_opt;
-  disk_opt.backend = IndexBackend::kDiskRTree;
-  disk_opt.disk_index_dir =
-      (std::filesystem::temp_directory_path() /
-       ("dess_engine_idx_" + std::to_string(::getpid())))
-          .string();
-  auto disk_engine = SearchEngine::Build(&db_, disk_opt);
-  ASSERT_TRUE(disk_engine.ok()) << disk_engine.status().ToString();
-  for (FeatureKind kind : AllFeatureKinds()) {
-    auto a = engine_->QueryByIdTopK(5, kind, 10);
-    auto b = (*disk_engine)->QueryByIdTopK(5, kind, 10);
-    ASSERT_TRUE(a.ok() && b.ok()) << FeatureKindName(kind);
-    ASSERT_EQ(a->size(), b->size());
-    for (size_t i = 0; i < a->size(); ++i) {
-      EXPECT_NEAR((*a)[i].distance, (*b)[i].distance, 1e-9)
-          << FeatureKindName(kind);
-    }
-    // Threshold queries ride the same disk index.
-    auto ta = engine_->QueryByIdThreshold(5, kind, 0.8);
-    auto tb = (*disk_engine)->QueryByIdThreshold(5, kind, 0.8);
-    ASSERT_TRUE(ta.ok() && tb.ok());
-    EXPECT_EQ(ta->size(), tb->size()) << FeatureKindName(kind);
-  }
-  std::filesystem::remove_all(disk_opt.disk_index_dir);
 }
 
 TEST(SimilaritySpaceTest, LargeSetUsesBoundingBoxDiagonalForDmax) {
@@ -300,8 +297,8 @@ TEST_F(SearchEngineTest, MultiStepEmptyPlanRejected) {
 TEST_F(SearchEngineTest, MultiStepSubsetOfFirstStage) {
   // Every multi-step result must come from the first-stage candidates.
   MultiStepPlan plan = MultiStepPlan::Standard(15, 5);
-  auto stage1 = engine_->QueryByIdTopK(
-      3, FeatureKind::kMomentInvariants, 15);
+  auto stage1 = Results(engine_->QueryById(
+      3, QueryRequest::TopK(FeatureKind::kMomentInvariants, 15)));
   auto final = MultiStepQueryById(*engine_, 3, plan);
   ASSERT_TRUE(stage1.ok() && final.ok());
   std::set<int> candidates;
@@ -331,7 +328,8 @@ TEST_F(SearchEngineTest, MultiStepKeepZeroMeansAllCandidates) {
   // With an all-pass first stage, the result equals a one-shot search on
   // the second feature.
   auto one_shot =
-      engine_->QueryByIdTopK(2, FeatureKind::kGeometricParams, 6);
+      Results(engine_->QueryById(
+          2, QueryRequest::TopK(FeatureKind::kGeometricParams, 6)));
   ASSERT_TRUE(one_shot.ok());
   for (size_t i = 0; i < results->size(); ++i) {
     EXPECT_EQ((*results)[i].id, (*one_shot)[i].id) << i;
@@ -342,7 +340,8 @@ TEST_F(SearchEngineTest, MultiStepSingleStageEqualsOneShot) {
   MultiStepPlan plan;
   plan.stages.push_back({FeatureKind::kSpectral, 7});
   auto ms = MultiStepQueryById(*engine_, 9, plan);
-  auto os = engine_->QueryByIdTopK(9, FeatureKind::kSpectral, 7);
+  auto os = Results(
+      engine_->QueryById(9, QueryRequest::TopK(FeatureKind::kSpectral, 7)));
   ASSERT_TRUE(ms.ok() && os.ok());
   ASSERT_EQ(ms->size(), os->size());
   for (size_t i = 0; i < ms->size(); ++i) {

@@ -11,6 +11,8 @@
 namespace dess {
 namespace {
 
+using testing_util::Results;
+
 SystemOptions FastSystemOptions() {
   SystemOptions opt;
   opt.extraction.voxelization.resolution = 20;
@@ -200,8 +202,8 @@ TEST(SystemTest, SaveLoadRoundTrip) {
   EXPECT_TRUE((*loaded)->IsCommitted());
   auto snapshot = (*loaded)->CurrentSnapshot();
   ASSERT_TRUE(snapshot.ok());
-  auto results = (*snapshot)->engine().QueryByIdTopK(
-      0, FeatureKind::kPrincipalMoments, 2);
+  auto results = Results((*snapshot)->engine().QueryById(
+      0, QueryRequest::TopK(FeatureKind::kPrincipalMoments, 2)));
   ASSERT_TRUE(results.ok());
   EXPECT_EQ(results->size(), 2u);
   std::filesystem::remove_all(dir);

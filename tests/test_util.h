@@ -10,9 +10,27 @@
 #include "src/common/rng.h"
 #include "src/db/shape_database.h"
 #include "src/features/feature_space.h"
+#include "src/search/query.h"
 
 namespace dess {
 namespace testing_util {
+
+/// The ranked results of an engine or snapshot query, or its error — so
+/// assertions over result lists read the same for Query and QueryById.
+inline Result<std::vector<SearchResult>> Results(
+    Result<QueryResponse> response) {
+  if (!response.ok()) return response.status();
+  return std::move(response).value().results;
+}
+
+/// A query signature carrying `values` at registry ordinal `ordinal` (the
+/// other slots stay empty): addresses one raw feature vector through
+/// SearchEngine::Query.
+inline ShapeSignature SignatureWith(int ordinal, std::vector<double> values) {
+  ShapeSignature signature;
+  signature.MutableAt(ordinal).values = std::move(values);
+  return signature;
+}
 
 /// A synthetic non-canonical feature space for registry tests: id + dim,
 /// no geometry semantics. `index_backend` optionally pins the space to one

@@ -203,8 +203,7 @@ class TraceSystemTest : public TraceTest {
     TraceTest::SetUp();
     SystemOptions options;
     options.hierarchy.max_leaf_size = 4;
-    options.search.use_rtree = false;
-    options.search.backend = IndexBackend::kLinearScan;
+    options.search.index_backend = kLinearScanBackendId;
     system_ = std::make_unique<Dess3System>(options);
     db_ = testing_util::BuildSyntheticFeatureDb(3, 4, 2);
     for (const ShapeRecord& rec : db_.records()) {
