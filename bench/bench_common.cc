@@ -21,15 +21,17 @@ SystemOptions StandardSystemOptions() {
   return opt;
 }
 
-std::unique_ptr<Dess3System> BuildFresh(const std::string& cache_path) {
+constexpr size_t kStandardShapes = 113;
+
+std::unique_ptr<Dess3System> BuildFresh(const std::string& home_dir) {
   StandardConfig cfg;
   DatasetOptions ds_opt;
   ds_opt.seed = cfg.dataset_seed;
   ds_opt.mesh_resolution = cfg.mesh_resolution;
   std::fprintf(stderr,
                "[bench] building 113-shape dataset + extracting features "
-               "(one-time; result cached to %s)...\n",
-               cache_path.c_str());
+               "(one-time; result committed to %s)...\n",
+               home_dir.c_str());
   const auto t0 = std::chrono::steady_clock::now();
   auto dataset = BuildStandardDataset(ds_opt);
   if (!dataset.ok()) {
@@ -37,9 +39,20 @@ std::unique_ptr<Dess3System> BuildFresh(const std::string& cache_path) {
                  dataset.status().ToString().c_str());
     std::abort();
   }
-  auto system = std::make_unique<Dess3System>(StandardSystemOptions());
-  Status st =
-      system->IngestDataset(*dataset, IngestOptions{.num_threads = 0});
+  std::error_code ec;
+  std::filesystem::remove_all(home_dir, ec);
+  auto opened = Dess3System::Open(home_dir, {}, StandardSystemOptions());
+  if (!opened.ok()) {
+    std::fprintf(stderr, "home open failed: %s\n",
+                 opened.status().ToString().c_str());
+    std::abort();
+  }
+  std::unique_ptr<Dess3System> system = std::move(opened).value();
+  // The full commit checkpoints every record, so the log need not hold
+  // them in between.
+  Status st = system->IngestDataset(
+      *dataset, IngestOptions{.num_threads = 0,
+                              .durability = WriteAheadLog::Durability::kOff});
   if (st.ok()) st = system->Commit().status();
   if (!st.ok()) {
     std::fprintf(stderr, "system build failed: %s\n", st.ToString().c_str());
@@ -50,39 +63,37 @@ std::unique_ptr<Dess3System> BuildFresh(const std::string& cache_path) {
                       .count();
   std::fprintf(stderr, "[bench] built %zu shapes in %.1f s\n",
                system->db().NumShapes(), dt / 1000.0);
-  if (Status save = system->Save(cache_path); !save.ok()) {
-    std::fprintf(stderr, "[bench] cache save failed (continuing): %s\n",
-                 save.ToString().c_str());
-  }
   return system;
 }
 
 }  // namespace
 
-const Dess3System& StandardSystem(const std::string& cache_path) {
+const Dess3System& StandardSystem(const std::string& home_dir) {
   static std::unique_ptr<Dess3System>* holder =
       new std::unique_ptr<Dess3System>([&] {
-        if (std::filesystem::exists(cache_path)) {
-          auto loaded =
-              Dess3System::LoadFrom(cache_path, StandardSystemOptions());
-          if (loaded.ok() && (*loaded)->db().NumShapes() == 113) {
-            std::fprintf(stderr, "[bench] loaded cached database %s\n",
-                         cache_path.c_str());
-            return std::move(*loaded);
+        if (std::filesystem::exists(home_dir)) {
+          // Every index read into memory, so the series time in-memory
+          // R-trees, not a buffer pool over the packed files.
+          auto opened = Dess3System::Open(home_dir, {.read_all = true},
+                                          StandardSystemOptions());
+          if (opened.ok() && (*opened)->IsCommitted() &&
+              (*opened)->db().NumShapes() == kStandardShapes) {
+            std::fprintf(stderr, "[bench] reopened home %s\n",
+                         home_dir.c_str());
+            return std::move(*opened);
           }
-          std::fprintf(stderr,
-                       "[bench] cache unusable (%s); rebuilding\n",
-                       loaded.ok() ? "wrong shape count"
-                                   : loaded.status().ToString().c_str());
+          std::fprintf(stderr, "[bench] home unusable (%s); rebuilding\n",
+                       opened.ok() ? "not a committed 113-shape home"
+                                   : opened.status().ToString().c_str());
         }
-        return BuildFresh(cache_path);
+        return BuildFresh(home_dir);
       }());
   return **holder;
 }
 
-const SystemSnapshot& StandardSnapshot(const std::string& cache_path) {
+const SystemSnapshot& StandardSnapshot(const std::string& home_dir) {
   static const std::shared_ptr<const SystemSnapshot>* holder = [&] {
-    auto snapshot = StandardSystem(cache_path).CurrentSnapshot();
+    auto snapshot = StandardSystem(home_dir).CurrentSnapshot();
     if (!snapshot.ok()) {
       std::fprintf(stderr, "snapshot unavailable: %s\n",
                    snapshot.status().ToString().c_str());

@@ -343,9 +343,10 @@ const ColdStartFixture& ColdStart() {
     f->snap_dir = (std::filesystem::temp_directory_path() /
                    "dess_bench_snapshot")
                       .string();
-    SaveOptions save;
-    save.overwrite = true;
-    (void)system.SaveSnapshot(f->snap_dir, save);
+    auto snapshot = system.CurrentSnapshot();
+    if (snapshot.ok()) {
+      (void)(*snapshot)->SaveTo(f->snap_dir, {.overwrite = true});
+    }
     return f;
   }();
   return *fixture;
@@ -428,7 +429,7 @@ std::unique_ptr<Dess3System> BuildCommittedSystem(const CommitFixture& fx) {
   auto system = std::make_unique<Dess3System>(opt);
   for (size_t i = 0; i < fx.corpus; ++i) {
     auto record = fx.pool.Get(static_cast<int>(i));
-    if (record.ok()) system->IngestRecord(**record);
+    if (record.ok()) DESS_CHECK_OK(system->Ingest(**record));
   }
   (void)system->Commit();
   return system;
@@ -438,7 +439,7 @@ void IngestDelta(Dess3System* system, const CommitFixture& fx,
                  size_t* next) {
   for (size_t i = 0; i < fx.delta; ++i) {
     auto record = fx.pool.Get(static_cast<int>((*next)++ % fx.corpus));
-    if (record.ok()) system->IngestRecord(**record);
+    if (record.ok()) DESS_CHECK_OK(system->Ingest(**record));
   }
 }
 

@@ -1,36 +1,42 @@
 // dess_cli — command-line front end for 3DESS, the kind of tool a
-// downstream user would drive the library with.
+// downstream user would drive the library with. Every command works on a
+// durable home directory (Dess3System::Open: a checkpointed snapshot plus
+// a write-ahead log); commands that change it end with a full Commit(),
+// which checkpoints.
 //
-//   dess_cli build <db_file> [--groups N] [--noise N] [--seed S]
+//   dess_cli build <home_dir> [--groups N] [--noise N] [--seed S]
 //       Generate the synthetic engineering dataset, extract features, and
-//       persist the database.
-//   dess_cli ingest <db_file> <mesh_file> [group]
-//       Add an external CAD file (.off/.obj/.stl) to an existing database.
-//   dess_cli info <db_file>
+//       commit it to a new home.
+//   dess_cli ingest <home_dir> <mesh_file> [group]
+//       Add an external CAD file (.off/.obj/.stl) to an existing home.
+//   dess_cli info <home_dir>
 //       Print catalog statistics.
-//   dess_cli query <db_file> <mesh_file> [k] [feature]
+//   dess_cli query <home_dir> <mesh_file> [k] [feature]
 //       Query by example with an external mesh.
-//   dess_cli multistep <db_file> <mesh_file> [k]
+//   dess_cli multistep <home_dir> <mesh_file> [k]
 //       Multi-step query (invariants -> geometric re-rank).
-//   dess_cli browse <db_file> [feature]
+//   dess_cli browse <home_dir> [feature]
 //       Print the drill-down browsing hierarchy.
-//   dess_cli render <db_file> <shape_id> <output_prefix>
+//   dess_cli render <home_dir> <shape_id> <output_prefix>
 //       Generate turntable views + triangulated OBJ for one shape.
 //   dess_cli export-dataset <dir> [--groups N] [--noise N] [--seed S]
 //       Generate the synthetic dataset as OFF meshes + manifest.csv.
-//   dess_cli build-from-dir <db_file> <dir>
-//       Build a database from a directory of meshes + manifest.csv
+//   dess_cli build-from-dir <home_dir> <dir>
+//       Build a new home from a directory of meshes + manifest.csv
 //       (the format export-dataset writes; use it to index your own
 //       CAD collections).
-//   dess_cli effectiveness <db_file>
-//       Run the 26-query effectiveness experiment on any database with
+//   dess_cli effectiveness <home_dir>
+//       Run the 26-query effectiveness experiment on any home with
 //       ground-truth groups (the Figure 15/16 protocol).
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <memory>
 #include <string>
 
+#include "src/common/strings.h"
 #include "src/core/system.h"
 #include "src/eval/experiments.h"
 #include "src/geom/mesh_io.h"
@@ -53,6 +59,31 @@ int Fail(const Status& st) {
   return 1;
 }
 
+/// Opens the home a read or ingest command works on. Unlike Open itself,
+/// which creates a missing home, this refuses a directory that does not
+/// exist: a mistyped path should not read as an empty catalog.
+Result<std::unique_ptr<Dess3System>> OpenExistingHome(const char* dir) {
+  std::error_code ec;
+  if (!std::filesystem::is_directory(dir, ec)) {
+    return Status::NotFound(std::string("no home directory at '") + dir +
+                            "' (create one with build or build-from-dir)");
+  }
+  return Dess3System::Open(dir, {}, CliSystemOptions());
+}
+
+/// Opens a home for build/build-from-dir, which must start empty.
+Result<std::unique_ptr<Dess3System>> OpenNewHome(const char* dir) {
+  DESS_ASSIGN_OR_RETURN(std::unique_ptr<Dess3System> system,
+                        Dess3System::Open(dir, {}, CliSystemOptions()));
+  if (!system->db().IsEmpty()) {
+    return Status::AlreadyExists(
+        StrFormat("home '%s' already holds %zu shapes; build into a new "
+                  "directory",
+                  dir, system->db().NumShapes()));
+  }
+  return system;
+}
+
 Result<FeatureKind> ParseFeature(const std::string& name) {
   for (FeatureKind kind : AllFeatureKinds()) {
     if (FeatureKindName(kind) == name) return kind;
@@ -65,7 +96,7 @@ Result<FeatureKind> ParseFeature(const std::string& name) {
 
 int CmdBuild(int argc, char** argv) {
   if (argc < 3) {
-    std::fprintf(stderr, "usage: dess_cli build <db_file> [--groups N] "
+    std::fprintf(stderr, "usage: dess_cli build <home_dir> [--groups N] "
                          "[--noise N] [--seed S]\n");
     return 2;
   }
@@ -82,22 +113,27 @@ int CmdBuild(int argc, char** argv) {
   }
   auto dataset = BuildStandardDataset(ds_opt);
   if (!dataset.ok()) return Fail(dataset.status());
-  Dess3System system(CliSystemOptions());
-  if (Status st = system.IngestDataset(*dataset); !st.ok()) return Fail(st);
-  if (auto epoch = system.Commit(); !epoch.ok()) return Fail(epoch.status());
-  if (Status st = system.Save(argv[2]); !st.ok()) return Fail(st);
+  auto system = OpenNewHome(argv[2]);
+  if (!system.ok()) return Fail(system.status());
+  if (Status st = (*system)->IngestDataset(*dataset); !st.ok()) {
+    return Fail(st);
+  }
+  if (auto epoch = (*system)->Commit(); !epoch.ok()) {
+    return Fail(epoch.status());
+  }
   std::printf("built %zu shapes (%d groups) -> %s\n",
-              system.db().NumShapes(), system.db().NumGroups(), argv[2]);
+              (*system)->db().NumShapes(), (*system)->db().NumGroups(),
+              argv[2]);
   return 0;
 }
 
 int CmdIngest(int argc, char** argv) {
   if (argc < 4) {
     std::fprintf(stderr,
-                 "usage: dess_cli ingest <db_file> <mesh_file> [group]\n");
+                 "usage: dess_cli ingest <home_dir> <mesh_file> [group]\n");
     return 2;
   }
-  auto system = Dess3System::LoadFrom(argv[2], CliSystemOptions());
+  auto system = OpenExistingHome(argv[2]);
   if (!system.ok()) return Fail(system.status());
   auto mesh = ReadMesh(argv[3]);
   if (!mesh.ok()) return Fail(mesh.status());
@@ -107,20 +143,20 @@ int CmdIngest(int argc, char** argv) {
   if (auto epoch = (*system)->Commit(); !epoch.ok()) {
     return Fail(epoch.status());
   }
-  if (Status st = (*system)->Save(argv[2]); !st.ok()) return Fail(st);
   std::printf("ingested '%s' as shape %d (group %d)\n", argv[3], *id, group);
   return 0;
 }
 
 int CmdInfo(int argc, char** argv) {
   if (argc < 3) {
-    std::fprintf(stderr, "usage: dess_cli info <db_file>\n");
+    std::fprintf(stderr, "usage: dess_cli info <home_dir>\n");
     return 2;
   }
-  auto system = Dess3System::LoadFrom(argv[2], CliSystemOptions());
+  auto system = OpenExistingHome(argv[2]);
   if (!system.ok()) return Fail(system.status());
   const ShapeDatabase& db = (*system)->db();
-  std::printf("database: %s\n", argv[2]);
+  std::printf("home: %s (epoch %llu)\n", argv[2],
+              static_cast<unsigned long long>((*system)->PublishedEpoch()));
   std::printf("  shapes: %zu, groups: %d\n", db.NumShapes(), db.NumGroups());
   size_t verts = 0, tris = 0;
   int noise = 0;
@@ -141,11 +177,11 @@ int CmdInfo(int argc, char** argv) {
 int CmdQuery(int argc, char** argv) {
   if (argc < 4) {
     std::fprintf(stderr,
-                 "usage: dess_cli query <db_file> <mesh_file> [k] "
+                 "usage: dess_cli query <home_dir> <mesh_file> [k] "
                  "[feature]\n");
     return 2;
   }
-  auto system = Dess3System::LoadFrom(argv[2], CliSystemOptions());
+  auto system = OpenExistingHome(argv[2]);
   if (!system.ok()) return Fail(system.status());
   auto mesh = ReadMesh(argv[3]);
   if (!mesh.ok()) return Fail(mesh.status());
@@ -171,10 +207,10 @@ int CmdQuery(int argc, char** argv) {
 int CmdMultiStep(int argc, char** argv) {
   if (argc < 4) {
     std::fprintf(stderr,
-                 "usage: dess_cli multistep <db_file> <mesh_file> [k]\n");
+                 "usage: dess_cli multistep <home_dir> <mesh_file> [k]\n");
     return 2;
   }
-  auto system = Dess3System::LoadFrom(argv[2], CliSystemOptions());
+  auto system = OpenExistingHome(argv[2]);
   if (!system.ok()) return Fail(system.status());
   auto mesh = ReadMesh(argv[3]);
   if (!mesh.ok()) return Fail(mesh.status());
@@ -210,10 +246,10 @@ void PrintHierarchy(const ShapeDatabase& db, const HierarchyNode* node,
 
 int CmdBrowse(int argc, char** argv) {
   if (argc < 3) {
-    std::fprintf(stderr, "usage: dess_cli browse <db_file> [feature]\n");
+    std::fprintf(stderr, "usage: dess_cli browse <home_dir> [feature]\n");
     return 2;
   }
-  auto system = Dess3System::LoadFrom(argv[2], CliSystemOptions());
+  auto system = OpenExistingHome(argv[2]);
   if (!system.ok()) return Fail(system.status());
   FeatureKind kind = FeatureKind::kPrincipalMoments;
   if (argc > 3) {
@@ -231,10 +267,10 @@ int CmdBrowse(int argc, char** argv) {
 int CmdRender(int argc, char** argv) {
   if (argc < 5) {
     std::fprintf(stderr,
-                 "usage: dess_cli render <db_file> <shape_id> <prefix>\n");
+                 "usage: dess_cli render <home_dir> <shape_id> <prefix>\n");
     return 2;
   }
-  auto system = Dess3System::LoadFrom(argv[2], CliSystemOptions());
+  auto system = OpenExistingHome(argv[2]);
   if (!system.ok()) return Fail(system.status());
   auto rec = (*system)->db().Get(std::atoi(argv[3]));
   if (!rec.ok()) return Fail(rec.status());
@@ -278,30 +314,32 @@ int CmdExportDataset(int argc, char** argv) {
 int CmdBuildFromDir(int argc, char** argv) {
   if (argc < 4) {
     std::fprintf(stderr,
-                 "usage: dess_cli build-from-dir <db_file> <dir>\n");
+                 "usage: dess_cli build-from-dir <home_dir> <dir>\n");
     return 2;
   }
   auto dataset = LoadDatasetFromDirectory(argv[3]);
   if (!dataset.ok()) return Fail(dataset.status());
-  Dess3System system(CliSystemOptions());
-  if (Status st =
-          system.IngestDataset(*dataset, IngestOptions{.num_threads = 0});
+  auto system = OpenNewHome(argv[2]);
+  if (!system.ok()) return Fail(system.status());
+  if (Status st = (*system)->IngestDataset(*dataset,
+                                           IngestOptions{.num_threads = 0});
       !st.ok()) {
     return Fail(st);
   }
-  if (auto epoch = system.Commit(); !epoch.ok()) return Fail(epoch.status());
-  if (Status st = system.Save(argv[2]); !st.ok()) return Fail(st);
+  if (auto epoch = (*system)->Commit(); !epoch.ok()) {
+    return Fail(epoch.status());
+  }
   std::printf("indexed %zu shapes from %s -> %s\n",
-              system.db().NumShapes(), argv[3], argv[2]);
+              (*system)->db().NumShapes(), argv[3], argv[2]);
   return 0;
 }
 
 int CmdEffectiveness(int argc, char** argv) {
   if (argc < 3) {
-    std::fprintf(stderr, "usage: dess_cli effectiveness <db_file>\n");
+    std::fprintf(stderr, "usage: dess_cli effectiveness <home_dir>\n");
     return 2;
   }
-  auto system = Dess3System::LoadFrom(argv[2], CliSystemOptions());
+  auto system = OpenExistingHome(argv[2]);
   if (!system.ok()) return Fail(system.status());
   auto snapshot = (*system)->CurrentSnapshot();
   if (!snapshot.ok()) return Fail(snapshot.status());
@@ -323,7 +361,7 @@ int main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
                  "usage: dess_cli <build|ingest|info|query|multistep|browse|"
-                 "render|export-dataset|effectiveness> ...\n");
+                 "render|export-dataset|build-from-dir|effectiveness> ...\n");
     return 2;
   }
   const std::string cmd = argv[1];

@@ -91,9 +91,8 @@ int main(int argc, char** argv) {
   //    system answers at the same epoch with identical results, without
   //    re-running the geometry pipeline or rebuilding any index.
   const std::string snap_dir = "quickstart_snapshot";
-  SaveOptions save_opt;
-  save_opt.overwrite = true;
-  if (Status st = system.SaveSnapshot(snap_dir, save_opt); !st.ok()) {
+  if (Status st = (*snapshot)->SaveTo(snap_dir, {.overwrite = true});
+      !st.ok()) {
     std::fprintf(stderr, "save snapshot: %s\n", st.ToString().c_str());
     return 1;
   }

@@ -141,27 +141,24 @@ const ManifestSection* FindSection(const Manifest& manifest,
   return nullptr;
 }
 
-/// Writes the MANIFEST: header, section table, then a trailing CRC-32C of
-/// every preceding byte, so a reader can reject any torn or bit-flipped
-/// manifest before trusting a single field.
+/// Writes a current-version MANIFEST: header, feature-space table, section
+/// table, then a trailing CRC-32C of every preceding byte, so a reader can
+/// reject any torn or bit-flipped manifest before trusting a single field.
 Status WriteManifest(const std::string& path, const Manifest& manifest) {
   BinaryWriter w(path);
   if (!w.ok()) return Status::IOError("cannot open for write: " + path);
   w.WriteU32(kManifestMagic);
-  w.WriteU32(manifest.version);
+  w.WriteU32(kSnapshotFormatVersion);
   w.WriteU64(manifest.epoch);
   w.WriteU32(manifest.flags);
   w.WriteU64(manifest.num_shapes);
-  if (manifest.version >= 2) {
-    // The feature-space table: which spaces, in which registry order, this
-    // snapshot's sections describe. Version 1 had exactly the canonical
-    // four and no table.
-    w.WriteU32(static_cast<uint32_t>(manifest.spaces.size()));
-    for (const ManifestSpace& s : manifest.spaces) {
-      w.WriteString(s.id);
-      w.WriteU32(s.dim);
-      if (manifest.version >= 3) w.WriteString(s.backend);
-    }
+  // The feature-space table: which spaces, in which registry order, this
+  // snapshot's sections describe, and the backend each was served with.
+  w.WriteU32(static_cast<uint32_t>(manifest.spaces.size()));
+  for (const ManifestSpace& s : manifest.spaces) {
+    w.WriteString(s.id);
+    w.WriteU32(s.dim);
+    w.WriteString(s.backend);
   }
   w.WriteU32(static_cast<uint32_t>(manifest.sections.size()));
   for (const ManifestSection& s : manifest.sections) {
@@ -259,6 +256,15 @@ Result<Manifest> ReadManifest(const std::string& path) {
   return manifest;
 }
 
+/// A section reader's final check: a read that ran past the end of the
+/// file is a truncated section, which the taxonomy names DataLoss.
+Status FinishSection(const BinaryReader& r, const std::string& path) {
+  if (!r.Finish().ok()) {
+    return Status::DataLoss("truncated snapshot section: " + path);
+  }
+  return Status::OK();
+}
+
 /// records.bin: the catalog and every feature vector of every record, in
 /// store order. Each feature is tagged with its registry ordinal — the same
 /// bytes a v1 writer produced (the FeatureKind value IS the ordinal), so
@@ -283,14 +289,23 @@ Status WriteRecords(const std::string& path, const ShapeDatabase& db) {
   return w.Finish();
 }
 
+/// Reads records.bin, which must hold exactly `expected` records (the
+/// manifest's count) — checked before anything is sized by the stored
+/// count, so a damaged count cannot drive a huge allocation.
 Status LoadRecords(const std::string& path,
-                   const FeatureSpaceRegistry& registry,
+                   const FeatureSpaceRegistry& registry, uint64_t expected,
                    std::vector<ShapeRecord>* records) {
   BinaryReader r(path);
   if (!r.ok()) return Status::IOError("cannot open for read: " + path);
   uint64_t count = 0;
   if (!r.ReadU64(&count)) {
     return Status::DataLoss("truncated snapshot records: " + path);
+  }
+  if (count != expected) {
+    return Status::DataLoss(
+        StrFormat("snapshot records hold %llu shapes, manifest says %llu: %s",
+                  static_cast<unsigned long long>(count),
+                  static_cast<unsigned long long>(expected), path.c_str()));
   }
   records->clear();
   records->reserve(count);
@@ -321,7 +336,7 @@ Status LoadRecords(const std::string& path,
     }
     records->push_back(std::move(rec));
   }
-  return r.Finish();
+  return FinishSection(r, path);
 }
 
 /// meshes.bin: record geometry keyed by id, same order as records.bin.
@@ -386,7 +401,7 @@ Status LoadMeshes(const std::string& path,
     }
     (*meshes)[id] = std::move(mesh);
   }
-  return r.Finish();
+  return FinishSection(r, path);
 }
 
 /// spaces.bin: every calibrated SimilaritySpace, tagged with its registry
@@ -432,7 +447,7 @@ Result<std::vector<SimilaritySpace>> LoadSpaces(
     space.id = registry.id(i);
     spaces[i] = std::move(space);
   }
-  DESS_RETURN_NOT_OK(r.Finish());
+  DESS_RETURN_NOT_OK(FinishSection(r, path));
   return spaces;
 }
 
@@ -479,7 +494,7 @@ Result<std::unique_ptr<HierarchyNode>> LoadHierarchy(
   if (!r.ok()) return Status::IOError("cannot open for read: " + path);
   DESS_ASSIGN_OR_RETURN(std::unique_ptr<HierarchyNode> root,
                         ReadHierarchyNode(r, path, 1));
-  DESS_RETURN_NOT_OK(r.Finish());
+  DESS_RETURN_NOT_OK(FinishSection(r, path));
   return root;
 }
 
@@ -489,18 +504,6 @@ Status SystemSnapshot::SaveTo(const std::string& dir,
                               const SaveOptions& options) const {
   DESS_TIMED_SCOPE("snapshot.save");
   const FeatureSpaceRegistry& registry = engine_->registry();
-  if (options.format_version < 1 ||
-      options.format_version > kSnapshotFormatVersion) {
-    return Status::InvalidArgument(
-        StrFormat("cannot write snapshot format version %u (this build "
-                  "writes versions 1..%u)",
-                  options.format_version, kSnapshotFormatVersion));
-  }
-  if (options.format_version == 1 && registry.size() != kNumFeatureKinds) {
-    return Status::InvalidArgument(
-        "snapshot format version 1 cannot express a registry beyond the "
-        "canonical four feature spaces");
-  }
   const fs::path target(dir);
   std::error_code ec;
   const bool target_exists = fs::exists(target, ec);
@@ -524,10 +527,16 @@ Status SystemSnapshot::SaveTo(const std::string& dir,
 
   // Stage the whole directory next to the target, then rename into place:
   // a crash mid-save leaves the (ignorable) staging directory behind, never
-  // a half-written snapshot at the target path.
+  // a half-written snapshot at the target path. A <dir>.old beside an
+  // existing target is left from a replace that published and died before
+  // removing it; without a target it may be the only complete snapshot, so
+  // it stays until a new one is in place.
   fs::path staging = target;
   staging += ".tmp";
+  fs::path retired = target;
+  retired += ".old";
   fs::remove_all(staging, ec);
+  if (target_exists) fs::remove_all(retired, ec);
   ec.clear();
   fs::create_directories(staging, ec);
   if (ec) {
@@ -536,7 +545,6 @@ Status SystemSnapshot::SaveTo(const std::string& dir,
   }
 
   Manifest manifest;
-  manifest.version = options.format_version;
   manifest.epoch = epoch_;
   manifest.flags =
       (options.include_meshes ? kFlagIncludeMeshes : 0u) |
@@ -575,10 +583,12 @@ Status SystemSnapshot::SaveTo(const std::string& dir,
     DESS_RETURN_NOT_OK(add_section(file));
   }
 
-  // Pack one static R-tree per feature space over the standardized
-  // coordinates — the same coordinates every engine backend indexes, so a
-  // lazily reopened index answers exactly like the one that served here.
+  // Pack a static R-tree for each space served by `rtree`, over the
+  // standardized coordinates every engine backend indexes, so a lazily
+  // reopened index answers exactly like the one that served here. Other
+  // spaces get none: a reopen builds (or restores) their own backend.
   for (int ordinal = 0; ordinal < registry.size(); ++ordinal) {
+    if (engine_->BackendIdAt(ordinal) != kRTreeBackendId) continue;
     const SimilaritySpace& space = engine_->SpaceAt(ordinal);
     std::vector<std::pair<int, std::vector<double>>> bulk;
     bulk.reserve(db_->NumShapes());
@@ -592,7 +602,7 @@ Status SystemSnapshot::SaveTo(const std::string& dir,
     DESS_RETURN_NOT_OK(add_section(file));
   }
 
-  // Optional graph sections (v3+): an approximate backend's serialized
+  // Optional graph sections: an approximate backend's serialized
   // structure, so a reopen skips the graph rebuild. Skipped — never an
   // error — when the backend has no serialize hook, when the engine is
   // layered (the main graph covers only the pre-delta rows while every
@@ -600,7 +610,7 @@ Status SystemSnapshot::SaveTo(const std::string& dir,
   // the backend's own type (e.g. a lazily reopened engine serving a packed
   // R-tree under an hnsw configuration). The reader falls back to a
   // rebuild from the packed rows whenever the section is absent.
-  if (options.format_version >= 3 && engine_->NumSideRecords() == 0) {
+  if (engine_->NumSideRecords() == 0) {
     const IndexBackendRegistry& backends =
         BackendsOrBuiltIns(engine_->options().index_backends);
     for (int ordinal = 0; ordinal < registry.size(); ++ordinal) {
@@ -634,8 +644,11 @@ Status SystemSnapshot::SaveTo(const std::string& dir,
   DESS_RETURN_NOT_OK(
       WriteManifest((staging / kSnapshotManifestFile).string(), manifest));
 
+  // Replace by renames only, so a complete snapshot exists at every
+  // instant: at the target, or between the two renames at <dir>.old, which
+  // Dess3System::Open moves back into place.
   if (target_exists) {
-    fs::remove_all(target, ec);
+    fs::rename(target, retired, ec);
     if (ec) {
       return Status::IOError("cannot replace snapshot at '" + dir +
                              "': " + ec.message());
@@ -643,9 +656,12 @@ Status SystemSnapshot::SaveTo(const std::string& dir,
   }
   fs::rename(staging, target, ec);
   if (ec) {
+    std::error_code restore_ec;
+    if (target_exists) fs::rename(retired, target, restore_ec);
     return Status::IOError("cannot publish snapshot to '" + dir +
                            "': " + ec.message());
   }
+  fs::remove_all(retired, ec);
   MetricsRegistry::Global()->AddCounter("persist.snapshots_saved");
   return Status::OK();
 }
@@ -697,7 +713,6 @@ Result<std::unique_ptr<Dess3System>> Dess3System::OpenFromSnapshot(
   }
   for (int ordinal = 0; ordinal < registry->size(); ++ordinal) {
     required.push_back(SnapshotHierarchyFile(registry->id(ordinal)));
-    required.push_back(SnapshotIndexFile(registry->id(ordinal)));
   }
   for (const std::string& file : required) {
     if (FindSection(manifest, file) == nullptr) {
@@ -744,16 +759,8 @@ Result<std::unique_ptr<Dess3System>> Dess3System::OpenFromSnapshot(
   }
 
   std::vector<ShapeRecord> records;
-  DESS_RETURN_NOT_OK(
-      LoadRecords((root / kSnapshotRecordsFile).string(), *registry,
-                  &records));
-  if (records.size() != manifest.num_shapes) {
-    return Status::DataLoss(
-        StrFormat("snapshot records hold %zu shapes, manifest says %llu: %s",
-                  records.size(),
-                  static_cast<unsigned long long>(manifest.num_shapes),
-                  dir.c_str()));
-  }
+  DESS_RETURN_NOT_OK(LoadRecords((root / kSnapshotRecordsFile).string(),
+                                 *registry, manifest.num_shapes, &records));
   if ((manifest.flags & kFlagIncludeMeshes) != 0) {
     std::unordered_map<int, TriMesh> meshes;
     DESS_RETURN_NOT_OK(
@@ -803,8 +810,9 @@ Result<std::unique_ptr<Dess3System>> Dess3System::OpenFromSnapshot(
   // packed rows through its resolved backend, so a reopened home runs the
   // index it was configured with (eager `rtree` spaces included). Only two
   // kinds are served from the snapshot's own bytes: lazily opened `rtree`
-  // spaces read their packed index file through a buffer pool, and a
-  // backend with a serialized structure is restored from the graph
+  // spaces read their packed index file through a buffer pool when the
+  // manifest lists one (a snapshot saved by another backend has none), and
+  // a backend with a serialized structure is restored from the graph
   // section the same backend wrote — on a missing section, a backend
   // mismatch, or unusable bytes it is rebuilt instead, since the graph is
   // an accelerator, never the data of record.
@@ -815,9 +823,11 @@ Result<std::unique_ptr<Dess3System>> Dess3System::OpenFromSnapshot(
     const std::string backend_id =
         ResolveIndexBackendId(engine_options, registry->space(ki));
     if (backend_id == kRTreeBackendId) {
-      if (open_options.read_all) continue;
-      const std::string path =
-          (root / SnapshotIndexFile(registry->id(ki))).string();
+      const std::string file = SnapshotIndexFile(registry->id(ki));
+      if (open_options.read_all || FindSection(manifest, file) == nullptr) {
+        continue;
+      }
+      const std::string path = (root / file).string();
       Result<std::unique_ptr<DiskRTree>> tree =
           DiskRTree::Open(path, open_options.index_buffer_pages);
       if (!tree.ok()) {

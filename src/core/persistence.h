@@ -6,13 +6,15 @@
 
 namespace dess {
 
-/// On-disk snapshot format understood by this build. The snapshot is a
-/// directory of sections — frozen record store, the four feature-vector
-/// sets, calibrated similarity spaces, packed R-tree page files, browsing
-/// hierarchies — described by a MANIFEST that carries the format version,
-/// the answering epoch, and a CRC-32C per section. The manifest itself is
-/// self-checksummed and the whole directory is staged and renamed into
-/// place, so a snapshot either opens completely or not at all.
+/// On-disk snapshot format written by this build. The snapshot is a
+/// directory of sections — frozen record store, the feature-vector sets,
+/// calibrated similarity spaces, browsing hierarchies, a packed R-tree page
+/// file for each space served by `rtree` — described by a MANIFEST that
+/// carries the format version, the answering epoch, and a CRC-32C per
+/// section. The manifest itself is self-checksummed and the whole directory
+/// is staged and renamed into place, so a snapshot either opens completely
+/// or not at all. The writer always writes this version; the reader opens
+/// versions 1..kSnapshotFormatVersion.
 ///
 /// Failure taxonomy (pinned, like the QueryRequest codes):
 ///  - DataLoss: a checksum mismatch, truncated/missing section, or
@@ -59,7 +61,8 @@ inline std::string SnapshotHierarchyFile(const std::string& space_id) {
          kSnapshotHierarchySuffix;
 }
 
-/// Packed index section of one feature space ("index_<id>.drt").
+/// Packed index section of one feature space ("index_<id>.drt"), written
+/// only for spaces served by `rtree` — the only ones a reopen reads it for.
 inline std::string SnapshotIndexFile(const std::string& space_id) {
   return std::string(kSnapshotIndexPrefix) + space_id + kSnapshotIndexSuffix;
 }
@@ -83,13 +86,6 @@ struct SaveOptions {
   /// saving over a directory that already holds a MANIFEST fails with
   /// AlreadyExists.
   bool overwrite = false;
-  /// Manifest format version to write: kSnapshotFormatVersion (default) or
-  /// an older version for rollback — 2 drops the backend table and graph
-  /// sections, 1 additionally drops the feature-space table. Version 1 is
-  /// only expressible when the system serves exactly the canonical four
-  /// spaces (InvalidArgument otherwise); the downgrade paths exist so tests
-  /// and rollbacks can produce snapshots an older build opens.
-  uint32_t format_version = kSnapshotFormatVersion;
 };
 
 /// How Dess3System::OpenFromSnapshot reads one back.

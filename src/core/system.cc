@@ -185,29 +185,6 @@ Result<int> Dess3System::Ingest(ShapeRecord record,
   return id;
 }
 
-int Dess3System::IngestRecord(ShapeRecord record) {
-  std::lock_guard<std::mutex> lock(ingest_mu_);
-  const int id = db_.Insert(std::move(record));
-  if (wal_ != nullptr) {
-    // Legacy int-returning API: a failed append degrades durability, not
-    // the in-memory ingest — log it and keep the id contract.
-    const ShapeRecord* stored = db_.Get(id).ValueOr(nullptr);
-    Result<uint64_t> seq =
-        stored != nullptr
-            ? wal_->AppendRecord(*stored, /*sync=*/false)
-            : Result<uint64_t>(Status::Internal("inserted record vanished"));
-    if (!seq.ok()) {
-      DESS_LOG(Error) << "WAL append failed for shape " << id << ": "
-                      << seq.status().ToString();
-    } else {
-      stat_wal_sequence_.store(wal_->last_sequence(),
-                               std::memory_order_relaxed);
-    }
-  }
-  RecordIngestLocked(1);
-  return id;
-}
-
 std::vector<SimilaritySpace> Dess3System::PublishedSpacesLocked() const {
   const SearchEngine& engine = base_snapshot_->engine();
   std::vector<SimilaritySpace> spaces;
@@ -314,10 +291,8 @@ Result<CommitReceipt> Dess3System::CommitLocked(
     // supersedes. A crash between the two replays already-checkpointed
     // records on the next open; replay skips duplicates, so the order is
     // safe (the reverse order could lose records).
-    SaveOptions save;
-    save.overwrite = true;
-    DESS_RETURN_NOT_OK(
-        base_snapshot_->SaveTo(home_dir_ + "/snapshot", save));
+    DESS_RETURN_NOT_OK(base_snapshot_->SaveTo(home_dir_ + "/snapshot",
+                                              {.overwrite = true}));
     DESS_RETURN_NOT_OK(wal_->Reset());
     stat_wal_sequence_.store(wal_->last_sequence(),
                              std::memory_order_relaxed);
@@ -440,29 +415,6 @@ Result<const HierarchyNode*> Dess3System::Hierarchy(
   return snapshot->Hierarchy(space_id);
 }
 
-Status Dess3System::Save(const std::string& path) const {
-  std::lock_guard<std::mutex> lock(ingest_mu_);
-  return db_.Save(path);
-}
-
-Result<std::unique_ptr<Dess3System>> Dess3System::LoadFrom(
-    const std::string& path, const SystemOptions& options) {
-  DESS_ASSIGN_OR_RETURN(ShapeDatabase db, ShapeDatabase::Load(path));
-  auto system = std::make_unique<Dess3System>(options);
-  for (const ShapeRecord& rec : db.records()) {
-    system->IngestRecord(rec);
-  }
-  DESS_RETURN_NOT_OK(system->Commit().status());
-  return system;
-}
-
-Status Dess3System::SaveSnapshot(const std::string& dir,
-                                 const SaveOptions& options) const {
-  DESS_ASSIGN_OR_RETURN(std::shared_ptr<const SystemSnapshot> snapshot,
-                        CurrentSnapshot());
-  return snapshot->SaveTo(dir, options);
-}
-
 Result<std::unique_ptr<Dess3System>> Dess3System::Open(
     const std::string& dir, const OpenOptions& open_options,
     const SystemOptions& options) {
@@ -476,10 +428,24 @@ Result<std::unique_ptr<Dess3System>> Dess3System::Open(
 
   // The checkpoint half: the snapshot the last full commit wrote, opened
   // with the full persistence-layer validation. A home that has never
-  // checkpointed simply starts empty.
+  // checkpointed simply starts empty. A checkpoint that died between
+  // retiring the old snapshot to snapshot.old and renaming the new one into
+  // place left no snapshot/: the retired one is still complete, and the WAL
+  // it pairs with is truncated only after a checkpoint returns, so moving
+  // it back loses nothing.
+  const std::string snapshot_dir = dir + "/snapshot";
+  const std::string retired_dir = snapshot_dir + ".old";
+  if (!std::filesystem::exists(snapshot_dir, ec) &&
+      std::filesystem::exists(retired_dir, ec)) {
+    std::filesystem::rename(retired_dir, snapshot_dir, ec);
+    if (ec) {
+      return Status::IOError("cannot restore checkpoint '" + retired_dir +
+                             "': " + ec.message());
+    }
+  }
   std::unique_ptr<Dess3System> system;
   Result<std::unique_ptr<Dess3System>> opened =
-      OpenFromSnapshot(dir + "/snapshot", open_options, options);
+      OpenFromSnapshot(snapshot_dir, open_options, options);
   if (opened.ok()) {
     system = std::move(opened).value();
   } else if (opened.status().code() == StatusCode::kNotFound) {

@@ -112,7 +112,7 @@ struct CommitReceipt {
 /// query. Queries before the first Commit() return FailedPrecondition.
 ///
 /// Concurrency model (snapshot isolation):
-///  - Writers (Ingest*, Commit, Save) are serialized by an internal mutex;
+///  - Writers (Ingest*, Commit) are serialized by an internal mutex;
 ///    concurrent ingest calls are safe but run one at a time.
 ///  - Commit() builds the next snapshot while the current one keeps
 ///    serving, then publishes it with one pointer swap. It never waits for
@@ -144,13 +144,9 @@ class Dess3System {
                        const IngestOptions& options = {});
 
   /// Ingests a pre-extracted record (e.g. loaded from disk), WAL-appending
-  /// it per `options.durability` on a durable system.
-  Result<int> Ingest(ShapeRecord record, const IngestOptions& options);
-
-  /// Ingests a pre-extracted record. Equivalent to Ingest() with default
-  /// options except that a WAL append failure is logged instead of
-  /// surfaced (the record is still inserted in memory).
-  int IngestRecord(ShapeRecord record);
+  /// it per `options.durability` on a durable system. A failed append is
+  /// returned, never acknowledged with an id.
+  Result<int> Ingest(ShapeRecord record, const IngestOptions& options = {});
 
   /// Builds and atomically publishes a new SystemSnapshot over the current
   /// database contents and returns its receipt: the published epoch (the
@@ -229,49 +225,33 @@ class Dess3System {
   /// an id the system's registry does not serve.
   Result<const HierarchyNode*> Hierarchy(const std::string& space_id) const;
 
-  /// Persists the database (geometry + features) as one flat file.
-  /// Indexes are rebuilt on load, mirroring the paper's
-  /// index-on-top-of-database design. For restart-fast persistence of the
-  /// full serving state, use SaveSnapshot/OpenFromSnapshot instead.
-  Status Save(const std::string& path) const;
-
-  /// Loads a database and commits it (rebuilding all indexes — the slow
-  /// cold start; see OpenFromSnapshot for the fast one).
-  static Result<std::unique_ptr<Dess3System>> LoadFrom(
-      const std::string& path, const SystemOptions& options = {});
-
-  /// Persists the currently published snapshot as a versioned on-disk
-  /// directory (record store, feature sets, similarity spaces, packed
-  /// R-tree files, hierarchies, checksummed manifest — see persistence.h).
-  /// FailedPrecondition before the first Commit(); the saved epoch is the
-  /// published one, so a caller can pair this with the epoch returned by
-  /// Commit() to name exactly what was saved.
-  Status SaveSnapshot(const std::string& dir,
-                      const SaveOptions& options = {}) const;
-
-  /// Opens a snapshot directory written by SaveSnapshot /
-  /// SystemSnapshot::SaveTo and publishes it without re-ingesting or
-  /// rebuilding: the reopened system answers queries identically to the
-  /// system that saved it, at the saved epoch, and later Ingest*/Commit()
-  /// continue from there. Each space is served by the backend this
-  /// system's options resolve for it: `rtree` index pages load lazily
-  /// through a buffer pool unless `open_options.read_all` is set; other
-  /// backends are built or restored at open. Failure taxonomy: DataLoss for
-  /// checksum mismatches or truncated/missing sections, FailedPrecondition
-  /// for format-version skew, NotFound when `dir` holds no snapshot.
+  /// Opens a snapshot directory written by SystemSnapshot::SaveTo (a home's
+  /// checkpoint, or CurrentSnapshot()->SaveTo(dir) on any committed system)
+  /// and publishes it without re-ingesting or rebuilding: the reopened
+  /// system answers queries identically to the system that saved it, at the
+  /// saved epoch, and later Ingest*/Commit() continue from there. Each
+  /// space is served by the backend this system's options resolve for it:
+  /// `rtree` index pages load lazily through a buffer pool unless
+  /// `open_options.read_all` is set or the snapshot packed none for that
+  /// space; other backends are built or restored at open. Failure taxonomy:
+  /// DataLoss for checksum mismatches or truncated/missing sections,
+  /// FailedPrecondition for format-version skew, NotFound when `dir` holds
+  /// no snapshot.
   static Result<std::unique_ptr<Dess3System>> OpenFromSnapshot(
       const std::string& dir, const OpenOptions& open_options = {},
       const SystemOptions& options = {});
 
-  /// Opens (creating if needed) a durable home directory — the incremental
-  /// counterpart to OpenFromSnapshot. `dir` holds the last checkpointed
-  /// snapshot (`<dir>/snapshot`, written by each full commit) and the
-  /// write-ahead log (`<dir>/wal.log`, carrying every record ingested
-  /// since plus the commit markers). Recovery replays the WAL tail over
-  /// the snapshot and republishes the state of the last durable commit
-  /// marker bit-identically — including a layered delta snapshot if that
-  /// is what the marker describes; records beyond the marker replay as
-  /// pending (uncommitted) ingests.
+  /// Opens (creating if needed) a durable home directory: the one way to
+  /// keep a system on disk. `dir` holds the last checkpointed snapshot
+  /// (`<dir>/snapshot`, written by each full Commit(), which is the
+  /// explicit checkpoint) and the write-ahead log (`<dir>/wal.log`,
+  /// carrying every record ingested since plus the commit markers).
+  /// Recovery replays the WAL tail over the snapshot and republishes the
+  /// state of the last durable commit marker bit-identically — including a
+  /// layered delta snapshot if that is what the marker describes; records
+  /// beyond the marker replay as pending (uncommitted) ingests. A
+  /// checkpoint interrupted between retiring the old snapshot and
+  /// publishing the new one is recovered from `<dir>/snapshot.old`.
   ///
   /// Failure taxonomy matches OpenFromSnapshot plus the WAL tiers: a torn
   /// WAL tail from a crashed append is truncated and recovery succeeds;

@@ -11,8 +11,8 @@
 
 namespace dess {
 
-/// Little-endian binary writer over a file stream. All writes funnel
-/// through here so the on-disk database format is defined in one place.
+/// Little-endian binary writer over a file stream. Every snapshot section
+/// is written through here, so the on-disk encoding is defined in one place.
 /// A CRC-32C of everything written so far is maintained as a side effect,
 /// so section writers can emit self- or manifest-checksummed files without
 /// re-reading them.

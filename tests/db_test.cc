@@ -93,51 +93,35 @@ TEST_F(DbTest, ComputeFeatureStats) {
   EXPECT_DOUBLE_EQ(z[0], 1.0);
 }
 
-TEST_F(DbTest, SaveLoadRoundTrip) {
-  ShapeDatabase db;
-  db.Insert(MakeRecord("alpha", 0));
-  db.Insert(MakeRecord("beta", 1));
-  db.Insert(MakeRecord("noise", kUngrouped));
-  ASSERT_TRUE(db.Save(Path("db.bin")).ok());
-
-  auto loaded = ShapeDatabase::Load(Path("db.bin"));
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->NumShapes(), 3u);
-  auto rec = loaded->Get(1);
-  ASSERT_TRUE(rec.ok());
-  EXPECT_EQ((*rec)->name, "beta");
-  EXPECT_EQ((*rec)->group, 1);
-  EXPECT_EQ((*rec)->mesh.NumTriangles(), 1u);
-  auto f = loaded->Feature(1, FeatureKind::kSpectral);
-  ASSERT_TRUE(f.ok());
-  EXPECT_DOUBLE_EQ((*f)[0], 1.5);
-  // Ids continue after the loaded max.
-  EXPECT_EQ(loaded->Insert(MakeRecord("new", 2)), 3);
-}
-
-TEST_F(DbTest, LoadRejectsMissingFile) {
-  EXPECT_EQ(ShapeDatabase::Load(Path("absent.bin")).status().code(),
-            StatusCode::kIOError);
-}
-
-TEST_F(DbTest, LoadRejectsBadMagic) {
+TEST_F(DbTest, GiantLengthPrefixRejectedWithoutAllocation) {
+  // A length prefix far past the end of the file is corruption: every
+  // length-prefixed read must fail on it, not attempt a 2^60-entry
+  // allocation.
   {
-    std::ofstream out(Path("junk.bin"), std::ios::binary);
-    out << "this is not a dess database";
+    BinaryWriter w(Path("evil.bin"));
+    ASSERT_TRUE(w.ok());
+    w.WriteU64(1ull << 60);
+    w.WriteU32(7);
+    ASSERT_TRUE(w.Finish().ok());
   }
-  EXPECT_EQ(ShapeDatabase::Load(Path("junk.bin")).status().code(),
-            StatusCode::kCorruption);
-}
-
-TEST_F(DbTest, LoadRejectsTruncatedFile) {
-  ShapeDatabase db;
-  db.Insert(MakeRecord("a", 0));
-  ASSERT_TRUE(db.Save(Path("full.bin")).ok());
-  // Truncate to half.
-  const auto size = std::filesystem::file_size(Path("full.bin"));
-  std::filesystem::resize_file(Path("full.bin"), size / 2);
-  EXPECT_EQ(ShapeDatabase::Load(Path("full.bin")).status().code(),
-            StatusCode::kCorruption);
+  {
+    BinaryReader r(Path("evil.bin"));
+    std::string s;
+    EXPECT_FALSE(r.ReadString(&s));
+    EXPECT_TRUE(s.empty());
+  }
+  {
+    BinaryReader r(Path("evil.bin"));
+    std::vector<double> v;
+    EXPECT_FALSE(r.ReadF64Vector(&v));
+    EXPECT_TRUE(v.empty());
+  }
+  {
+    BinaryReader r(Path("evil.bin"));
+    std::vector<int> v;
+    EXPECT_FALSE(r.ReadI32Vector(&v));
+    EXPECT_TRUE(v.empty());
+  }
 }
 
 TEST_F(DbTest, BinaryWriterReaderPrimitives) {

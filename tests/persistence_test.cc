@@ -6,13 +6,17 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/common/crc32c.h"
 #include "src/common/metrics.h"
 #include "src/core/persistence.h"
 #include "src/core/system.h"
+#include "src/db/serialization.h"
 #include "src/index/index_backend.h"
 #include "tests/test_util.h"
 
@@ -20,6 +24,73 @@ namespace dess {
 namespace {
 
 namespace fs = std::filesystem;
+using testing_util::WriteSnapshot;
+
+/// Rewrites the current-version snapshot in `dir` as an older writer left
+/// it: version 2 has no backend ids and no graph sections (the files go
+/// too), version 1 has no feature-space table either. The manifest's
+/// trailing CRC is re-sealed, so the result is a valid older snapshot.
+void RewriteManifestAsVersion(const std::string& dir, uint32_t version) {
+  const fs::path path = fs::path(dir) / kSnapshotManifestFile;
+  std::vector<uint8_t> bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  ASSERT_GT(bytes.size(), sizeof(uint32_t));
+  ByteReader r(bytes.data(), bytes.size() - sizeof(uint32_t));
+  ByteWriter w;
+  uint32_t magic = 0, current = 0, flags = 0, num_spaces = 0;
+  uint64_t epoch = 0, num_shapes = 0;
+  ASSERT_TRUE(r.ReadU32(&magic) && r.ReadU32(&current) &&
+              r.ReadU64(&epoch) && r.ReadU32(&flags) &&
+              r.ReadU64(&num_shapes) && r.ReadU32(&num_spaces));
+  ASSERT_EQ(current, kSnapshotFormatVersion);
+  w.WriteU32(magic);
+  w.WriteU32(version);
+  w.WriteU64(epoch);
+  w.WriteU32(flags);
+  w.WriteU64(num_shapes);
+  if (version >= 2) w.WriteU32(num_spaces);
+  for (uint32_t i = 0; i < num_spaces; ++i) {
+    std::string id, backend;
+    uint32_t dim = 0;
+    ASSERT_TRUE(r.ReadString(&id) && r.ReadU32(&dim) &&
+                r.ReadString(&backend));
+    if (version >= 2) {
+      w.WriteString(id);
+      w.WriteU32(dim);
+    }
+  }
+  uint32_t num_sections = 0;
+  ASSERT_TRUE(r.ReadU32(&num_sections));
+  ByteWriter sections;
+  uint32_t kept = 0;
+  for (uint32_t i = 0; i < num_sections; ++i) {
+    std::string file;
+    uint64_t size = 0;
+    uint32_t crc = 0;
+    ASSERT_TRUE(r.ReadString(&file) && r.ReadU64(&size) && r.ReadU32(&crc));
+    if (file.rfind(kSnapshotGraphPrefix, 0) == 0) {
+      fs::remove(fs::path(dir) / file);
+      continue;
+    }
+    sections.WriteString(file);
+    sections.WriteU64(size);
+    sections.WriteU32(crc);
+    ++kept;
+  }
+  ASSERT_TRUE(r.AtEnd());
+  w.WriteU32(kept);
+  w.WriteBytes(sections.bytes().data(), sections.bytes().size());
+  const uint32_t seal = Crc32c(w.bytes().data(), w.bytes().size());
+  w.WriteU32(seal);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(w.bytes().data()),
+            static_cast<std::streamsize>(w.bytes().size()));
+  ASSERT_TRUE(out.good());
+}
 
 class PersistenceTest : public ::testing::Test {
  protected:
@@ -29,7 +100,7 @@ class PersistenceTest : public ::testing::Test {
     fs::create_directories(dir_);
     ShapeDatabase db = testing_util::BuildSyntheticFeatureDb(4, 4, 3);
     for (const ShapeRecord& rec : db.records()) {
-      system_.IngestRecord(rec);
+      ASSERT_TRUE(system_.Ingest(rec).ok());
     }
     auto receipt = system_.Commit();
     ASSERT_TRUE(receipt.ok()) << receipt.status().ToString();
@@ -67,7 +138,7 @@ TEST_F(PersistenceTest, CommitReturnsTheEpochItPublished) {
     fv.kind = kind;
     fv.values.assign(FeatureDim(kind), 0.25);
   }
-  system_.IngestRecord(extra);
+  ASSERT_TRUE(system_.Ingest(extra).ok());
   auto next = system_.Commit();
   ASSERT_TRUE(next.ok());
   EXPECT_EQ(next->epoch, epoch_ + 1);
@@ -76,12 +147,12 @@ TEST_F(PersistenceTest, CommitReturnsTheEpochItPublished) {
 
 TEST_F(PersistenceTest, SaveBeforeCommitIsFailedPrecondition) {
   Dess3System fresh;
-  EXPECT_EQ(fresh.SaveSnapshot(SnapDir("none")).code(),
+  EXPECT_EQ(WriteSnapshot(fresh, SnapDir("none")).code(),
             StatusCode::kFailedPrecondition);
 }
 
 TEST_F(PersistenceTest, ReopenedSystemAnswersTopKBitIdentically) {
-  ASSERT_TRUE(system_.SaveSnapshot(SnapDir("snap")).ok());
+  ASSERT_TRUE(WriteSnapshot(system_, SnapDir("snap")).ok());
   auto reopened = Dess3System::OpenFromSnapshot(SnapDir("snap"));
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ((*reopened)->PublishedEpoch(), epoch_);
@@ -100,7 +171,7 @@ TEST_F(PersistenceTest, ReopenedSystemAnswersTopKBitIdentically) {
 }
 
 TEST_F(PersistenceTest, ThresholdAndMultiStepSurviveTheRoundTrip) {
-  ASSERT_TRUE(system_.SaveSnapshot(SnapDir("snap")).ok());
+  ASSERT_TRUE(WriteSnapshot(system_, SnapDir("snap")).ok());
   auto reopened = Dess3System::OpenFromSnapshot(SnapDir("snap"));
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   const QueryRequest threshold =
@@ -118,7 +189,7 @@ TEST_F(PersistenceTest, ThresholdAndMultiStepSurviveTheRoundTrip) {
 }
 
 TEST_F(PersistenceTest, ExternalSignatureQueriesMatchAfterReopen) {
-  ASSERT_TRUE(system_.SaveSnapshot(SnapDir("snap")).ok());
+  ASSERT_TRUE(WriteSnapshot(system_, SnapDir("snap")).ok());
   auto reopened = Dess3System::OpenFromSnapshot(SnapDir("snap"));
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   // A signature the database has never seen: the snapshot's similarity
@@ -136,7 +207,7 @@ TEST_F(PersistenceTest, ExternalSignatureQueriesMatchAfterReopen) {
 }
 
 TEST_F(PersistenceTest, EagerOpenMatchesLazyOpen) {
-  ASSERT_TRUE(system_.SaveSnapshot(SnapDir("snap")).ok());
+  ASSERT_TRUE(WriteSnapshot(system_, SnapDir("snap")).ok());
   OpenOptions eager;
   eager.read_all = true;
   auto lazy = Dess3System::OpenFromSnapshot(SnapDir("snap"));
@@ -152,7 +223,7 @@ TEST_F(PersistenceTest, EagerOpenMatchesLazyOpen) {
 }
 
 TEST_F(PersistenceTest, HierarchiesSurviveTheRoundTrip) {
-  ASSERT_TRUE(system_.SaveSnapshot(SnapDir("snap")).ok());
+  ASSERT_TRUE(WriteSnapshot(system_, SnapDir("snap")).ok());
   auto reopened = Dess3System::OpenFromSnapshot(SnapDir("snap"));
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   for (FeatureKind kind : AllFeatureKinds()) {
@@ -167,7 +238,7 @@ TEST_F(PersistenceTest, HierarchiesSurviveTheRoundTrip) {
 }
 
 TEST_F(PersistenceTest, IngestAndCommitContinueFromTheSavedEpoch) {
-  ASSERT_TRUE(system_.SaveSnapshot(SnapDir("snap")).ok());
+  ASSERT_TRUE(WriteSnapshot(system_, SnapDir("snap")).ok());
   auto reopened = Dess3System::OpenFromSnapshot(SnapDir("snap"));
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_TRUE((*reopened)->IsCommitted());
@@ -178,8 +249,9 @@ TEST_F(PersistenceTest, IngestAndCommitContinueFromTheSavedEpoch) {
     fv.kind = kind;
     fv.values.assign(FeatureDim(kind), -0.5);
   }
-  const int id = (*reopened)->IngestRecord(extra);
-  EXPECT_EQ(id, static_cast<int>(system_.db().NumShapes()));
+  auto id = (*reopened)->Ingest(extra);
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  EXPECT_EQ(*id, static_cast<int>(system_.db().NumShapes()));
   auto next = (*reopened)->Commit();
   ASSERT_TRUE(next.ok()) << next.status().ToString();
   EXPECT_EQ(next->epoch, epoch_ + 1);
@@ -188,7 +260,7 @@ TEST_F(PersistenceTest, IngestAndCommitContinueFromTheSavedEpoch) {
 TEST_F(PersistenceTest, MeshlessSnapshotStillServesEveryQueryPath) {
   SaveOptions save;
   save.include_meshes = false;
-  ASSERT_TRUE(system_.SaveSnapshot(SnapDir("lean"), save).ok());
+  ASSERT_TRUE(WriteSnapshot(system_, SnapDir("lean"), save).ok());
   auto reopened = Dess3System::OpenFromSnapshot(SnapDir("lean"));
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   auto rec = (*reopened)->db().Get(0);
@@ -202,12 +274,12 @@ TEST_F(PersistenceTest, MeshlessSnapshotStillServesEveryQueryPath) {
 }
 
 TEST_F(PersistenceTest, SavingOverAnExistingSnapshotNeedsOverwrite) {
-  ASSERT_TRUE(system_.SaveSnapshot(SnapDir("snap")).ok());
-  EXPECT_EQ(system_.SaveSnapshot(SnapDir("snap")).code(),
+  ASSERT_TRUE(WriteSnapshot(system_, SnapDir("snap")).ok());
+  EXPECT_EQ(WriteSnapshot(system_, SnapDir("snap")).code(),
             StatusCode::kAlreadyExists);
   SaveOptions replace;
   replace.overwrite = true;
-  EXPECT_TRUE(system_.SaveSnapshot(SnapDir("snap"), replace).ok());
+  EXPECT_TRUE(WriteSnapshot(system_, SnapDir("snap"), replace).ok());
   auto reopened = Dess3System::OpenFromSnapshot(SnapDir("snap"));
   EXPECT_TRUE(reopened.ok()) << reopened.status().ToString();
 }
@@ -241,7 +313,7 @@ std::unique_ptr<Dess3System> MakeExtendedSystem() {
   ShapeDatabase db = testing_util::BuildSyntheticFeatureDb(
       4, 4, 3, /*seed=*/123, 0.05, 1.0, {{kSynthId, kSynthDim}});
   for (const ShapeRecord& rec : db.records()) {
-    system->IngestRecord(rec);
+    EXPECT_TRUE(system->Ingest(rec).ok());
   }
   return system;
 }
@@ -251,7 +323,7 @@ std::unique_ptr<Dess3System> MakeExtendedSystem() {
 TEST_F(PersistenceTest, ExtendedRegistryRoundTripsThroughSnapshot) {
   auto extended = MakeExtendedSystem();
   ASSERT_TRUE(extended->Commit().ok());
-  ASSERT_TRUE(extended->SaveSnapshot(SnapDir("ext")).ok());
+  ASSERT_TRUE(WriteSnapshot(*extended, SnapDir("ext")).ok());
 
   SystemOptions reopen_options;
   reopen_options.feature_spaces =
@@ -290,14 +362,14 @@ TEST_F(PersistenceTest, RegistryMismatchIsFailedPreconditionNotDataLoss) {
   // cannot serve the fifth space, so the open is refused up front.
   auto extended = MakeExtendedSystem();
   ASSERT_TRUE(extended->Commit().ok());
-  ASSERT_TRUE(extended->SaveSnapshot(SnapDir("ext")).ok());
+  ASSERT_TRUE(WriteSnapshot(*extended, SnapDir("ext")).ok());
   auto canonical_open = Dess3System::OpenFromSnapshot(SnapDir("ext"));
   ASSERT_FALSE(canonical_open.ok());
   EXPECT_EQ(canonical_open.status().code(), StatusCode::kFailedPrecondition);
 
   // Canonical snapshot opened by an extended process: same refusal, the
   // snapshot has no data for the fifth space.
-  ASSERT_TRUE(system_.SaveSnapshot(SnapDir("canon")).ok());
+  ASSERT_TRUE(WriteSnapshot(system_, SnapDir("canon")).ok());
   SystemOptions extended_options;
   extended_options.feature_spaces =
       testing_util::MakeSyntheticRegistry({{kSynthId, kSynthDim}});
@@ -317,11 +389,10 @@ TEST_F(PersistenceTest, RegistryMismatchIsFailedPreconditionNotDataLoss) {
 }
 
 TEST_F(PersistenceTest, FormatVersionOneRoundTripsForTheCanonicalFour) {
-  // v1 is the pre-registry format: a canonical system can still write it
-  // (for rollback to older builds) and this build still reads it.
-  SaveOptions save;
-  save.format_version = 1;
-  ASSERT_TRUE(system_.SaveSnapshot(SnapDir("v1"), save).ok());
+  // v1 is the pre-registry format: snapshots older builds wrote for the
+  // canonical four still open in this build.
+  ASSERT_TRUE(WriteSnapshot(system_, SnapDir("v1")).ok());
+  ASSERT_NO_FATAL_FAILURE(RewriteManifestAsVersion(SnapDir("v1"), 1));
   auto reopened = Dess3System::OpenFromSnapshot(SnapDir("v1"));
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   for (FeatureKind kind : AllFeatureKinds()) {
@@ -331,19 +402,6 @@ TEST_F(PersistenceTest, FormatVersionOneRoundTripsForTheCanonicalFour) {
     ASSERT_TRUE(original.ok() && restored.ok());
     ExpectSameAnswers(*original, *restored);
   }
-}
-
-TEST_F(PersistenceTest, FormatVersionOneCannotExpressAnExtendedRegistry) {
-  auto extended = MakeExtendedSystem();
-  ASSERT_TRUE(extended->Commit().ok());
-  SaveOptions save;
-  save.format_version = 1;
-  EXPECT_EQ(extended->SaveSnapshot(SnapDir("v1ext"), save).code(),
-            StatusCode::kInvalidArgument);
-  SaveOptions bogus;
-  bogus.format_version = 99;
-  EXPECT_EQ(extended->SaveSnapshot(SnapDir("v99"), bogus).code(),
-            StatusCode::kInvalidArgument);
 }
 
 // --- Graph sections (format v3) -------------------------------------------
@@ -365,7 +423,7 @@ std::unique_ptr<Dess3System> MakeHnswSystem() {
   ShapeDatabase db = testing_util::BuildSyntheticFeatureDb(
       4, 4, 3, /*seed=*/123, 0.05, 1.0, {{kSynthId, kSynthDim}});
   for (const ShapeRecord& rec : db.records()) {
-    system->IngestRecord(rec);
+    EXPECT_TRUE(system->Ingest(rec).ok());
   }
   return system;
 }
@@ -390,7 +448,7 @@ uint64_t GlobalCounter(const std::string& name) {
 TEST_F(PersistenceTest, HnswGraphSectionRoundTripsBitIdentically) {
   auto hnsw = MakeHnswSystem();
   ASSERT_TRUE(hnsw->Commit().ok());
-  ASSERT_TRUE(hnsw->SaveSnapshot(SnapDir("v3")).ok());
+  ASSERT_TRUE(WriteSnapshot(*hnsw, SnapDir("v3")).ok());
 
   // The v3 snapshot carries the graph topology of the hnsw-pinned space
   // (and only that space — exact backends rebuild from the packed rows).
@@ -425,9 +483,8 @@ TEST_F(PersistenceTest, OlderFormatSnapshotRebuildsGraphOnOpen) {
   // skew never surfaces as an error.
   auto hnsw = MakeHnswSystem();
   ASSERT_TRUE(hnsw->Commit().ok());
-  SaveOptions save;
-  save.format_version = 2;
-  ASSERT_TRUE(hnsw->SaveSnapshot(SnapDir("v2"), save).ok());
+  ASSERT_TRUE(WriteSnapshot(*hnsw, SnapDir("v2")).ok());
+  ASSERT_NO_FATAL_FAILURE(RewriteManifestAsVersion(SnapDir("v2"), 2));
   EXPECT_FALSE(fs::exists(fs::path(SnapDir("v2")) /
                           SnapshotGraphFile(kSynthId)));
 
@@ -453,7 +510,7 @@ TEST_F(PersistenceTest, StrippedGraphSectionFallsBackToRebuild) {
   // strip would otherwise read as corruption.)
   auto hnsw = MakeHnswSystem();
   ASSERT_TRUE(hnsw->Commit().ok());
-  ASSERT_TRUE(hnsw->SaveSnapshot(SnapDir("strip")).ok());
+  ASSERT_TRUE(WriteSnapshot(*hnsw, SnapDir("strip")).ok());
   fs::remove(fs::path(SnapDir("strip")) / SnapshotGraphFile(kSynthId));
 
   SystemOptions options;
@@ -517,7 +574,7 @@ TEST_F(PersistenceTest, ReopenedHomeServesTheConfiguredBackend) {
 }
 
 TEST_F(PersistenceTest, SkippingChecksumVerificationStillRoundTrips) {
-  ASSERT_TRUE(system_.SaveSnapshot(SnapDir("snap")).ok());
+  ASSERT_TRUE(WriteSnapshot(system_, SnapDir("snap")).ok());
   OpenOptions trusting;
   trusting.verify_checksums = false;
   auto reopened = Dess3System::OpenFromSnapshot(SnapDir("snap"), trusting);
@@ -528,6 +585,114 @@ TEST_F(PersistenceTest, SkippingChecksumVerificationStillRoundTrips) {
       7, QueryRequest::TopK(FeatureKind::kPrincipalMoments, 5));
   ASSERT_TRUE(original.ok() && restored.ok());
   ExpectSameAnswers(*original, *restored);
+}
+
+// --- The durable home's checkpoint ----------------------------------------
+
+TEST_F(PersistenceTest, CheckpointInterruptedMidReplaceLosesNothing) {
+  // A full commit on a home replaces <home>/snapshot by renaming the old
+  // checkpoint to snapshot.old and the staged snapshot.tmp into place, and
+  // only then truncates the WAL. A process that dies between the two
+  // renames leaves no snapshot/, the complete snapshot.old/, the staging
+  // directory, and the WAL written since snapshot.old. Reopening must serve
+  // every acknowledged record, with the answers given before the crash.
+  const std::string home = SnapDir("home");
+  const fs::path snapshot = fs::path(home) / "snapshot";
+  const QueryRequest request =
+      QueryRequest::TopK(FeatureKind::kGeometricParams, 6);
+  const std::vector<int> query_ids = {0, 5, 11, 17};
+  std::vector<QueryResponse> before;
+  uint64_t epoch = 0;
+  {
+    auto system = Dess3System::Open(home);
+    ASSERT_TRUE(system.ok()) << system.status().ToString();
+    const size_t half = system_.db().NumShapes() / 2;
+    size_t ingested = 0;
+    for (const ShapeRecord& rec : system_.db().records()) {
+      ASSERT_TRUE((*system)->Ingest(rec).ok());
+      if (++ingested == half) {
+        ASSERT_TRUE((*system)->Commit().ok());
+      }
+    }
+    auto delta = (*system)->Commit({.mode = CommitMode::kDelta});
+    ASSERT_TRUE(delta.ok()) << delta.status().ToString();
+    epoch = delta->epoch;
+    for (int id : query_ids) {
+      auto response = (*system)->QueryByShapeId(id, request);
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      before.push_back(*response);
+    }
+  }
+  fs::path retired = snapshot;
+  retired += ".old";
+  fs::path staging = snapshot;
+  staging += ".tmp";
+  fs::rename(snapshot, retired);
+  fs::create_directories(staging);
+  std::ofstream(staging / kSnapshotRecordsFile) << "half-written";
+
+  auto reopened = Dess3System::Open(home);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->db().NumShapes(), system_.db().NumShapes());
+  EXPECT_TRUE((*reopened)->IsCommitted());
+  EXPECT_EQ((*reopened)->PublishedEpoch(), epoch);
+  for (size_t i = 0; i < query_ids.size(); ++i) {
+    auto restored = (*reopened)->QueryByShapeId(query_ids[i], request);
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    ExpectSameAnswers(before[i], *restored);
+  }
+  EXPECT_TRUE(fs::exists(snapshot / kSnapshotManifestFile));
+  EXPECT_FALSE(fs::exists(retired));
+
+  // The next checkpoint replaces the restored one and leaves no debris.
+  ASSERT_TRUE((*reopened)->Commit().ok());
+  EXPECT_TRUE(fs::exists(snapshot / kSnapshotManifestFile));
+  EXPECT_FALSE(fs::exists(retired));
+  EXPECT_FALSE(fs::exists(staging));
+}
+
+TEST_F(PersistenceTest, PackedRTreeIsWrittenOnlyForRTreeSpaces) {
+  // A linear_scan home packs no R-tree files, since its own reopen never
+  // reads them. Reopened lazily under an `rtree` configuration, it builds
+  // the R-trees from the packed rows and answers identically.
+  SystemOptions scan;
+  scan.search.index_backend = kLinearScanBackendId;
+  const std::string home = SnapDir("scan_home");
+  const QueryRequest request =
+      QueryRequest::TopK(FeatureKind::kMomentInvariants, 6);
+  const std::vector<int> query_ids = {1, 8, 14};
+  std::vector<QueryResponse> before;
+  {
+    auto system = Dess3System::Open(home, {}, scan);
+    ASSERT_TRUE(system.ok()) << system.status().ToString();
+    for (const ShapeRecord& rec : system_.db().records()) {
+      ASSERT_TRUE((*system)->Ingest(rec).ok());
+    }
+    ASSERT_TRUE((*system)->Commit().ok());
+    for (int id : query_ids) {
+      auto response = (*system)->QueryByShapeId(id, request);
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      before.push_back(*response);
+    }
+  }
+  for (const auto& entry :
+       fs::directory_iterator(fs::path(home) / "snapshot")) {
+    EXPECT_NE(entry.path().extension(), kSnapshotIndexSuffix)
+        << entry.path();
+  }
+
+  auto reopened = Dess3System::Open(home);  // `rtree`, lazy
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  auto served = (*reopened)->CurrentSnapshot();
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  for (int ordinal = 0; ordinal < (*served)->engine().NumSpaces(); ++ordinal) {
+    EXPECT_EQ((*served)->engine().BackendIdAt(ordinal), kRTreeBackendId);
+  }
+  for (size_t i = 0; i < query_ids.size(); ++i) {
+    auto restored = (*reopened)->QueryByShapeId(query_ids[i], request);
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    ExpectSameAnswers(before[i], *restored);
+  }
 }
 
 }  // namespace

@@ -1,8 +1,12 @@
-// Corruption-injection tests: a persisted database (and, below, a full
-// snapshot directory) is truncated and bit-flipped at many offsets; every
-// load attempt must either succeed (a flip may land in a don't-care byte or
-// produce an equally valid file) or fail with a clean error — never crash,
-// hang, or publish a partially-loaded system.
+// Corruption-injection tests over a snapshot directory. Below, the
+// records section is truncated, bit-flipped and padded at many offsets and
+// the snapshot reopened with checksum verification off, so the damaged
+// bytes reach the section parser instead of being stopped by the manifest
+// CRCs (the trusted-restart mode of OpenOptions::verify_checksums). Every
+// open must either succeed (a flip may land in a don't-care byte or produce
+// an equally valid file) or fail with DataLoss — never crash, hang, or size
+// an allocation by a corrupt count. Further down, SnapshotFuzzTest damages
+// whole sections with verification on.
 
 #include <gtest/gtest.h>
 
@@ -28,37 +32,46 @@ class SerializationFuzzTest : public ::testing::Test {
            ("dess_fuzz_" + std::to_string(::getpid()));
     std::filesystem::create_directories(dir_);
     db_ = testing_util::BuildSyntheticFeatureDb(3, 3, 2);
-    // Give the records some mesh payload too.
-    path_ = (dir_ / "base.bin").string();
-    ASSERT_TRUE(db_.Save(path_).ok());
-    std::ifstream in(path_, std::ios::binary);
+    Dess3System system;
+    for (const ShapeRecord& rec : db_.records()) {
+      ASSERT_TRUE(system.Ingest(rec).ok());
+    }
+    ASSERT_TRUE(system.Commit().ok());
+    snapshot_ = dir_ / "snapshot";
+    ASSERT_TRUE(testing_util::WriteSnapshot(system, snapshot_.string()).ok());
+    std::ifstream in(snapshot_ / kSnapshotRecordsFile, std::ios::binary);
     bytes_.assign(std::istreambuf_iterator<char>(in),
                   std::istreambuf_iterator<char>());
     ASSERT_GT(bytes_.size(), 100u);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
-  std::string WriteVariant(const std::vector<char>& data) {
-    const std::string p = (dir_ / "variant.bin").string();
-    std::ofstream out(p, std::ios::binary);
-    out.write(data.data(), static_cast<std::streamsize>(data.size()));
-    return p;
+  /// Replaces the snapshot's records section with `data` and reopens the
+  /// snapshot without verifying section checksums.
+  Result<std::unique_ptr<Dess3System>> OpenVariant(
+      const std::vector<char>& data) {
+    {
+      std::ofstream out(snapshot_ / kSnapshotRecordsFile,
+                        std::ios::binary | std::ios::trunc);
+      out.write(data.data(), static_cast<std::streamsize>(data.size()));
+    }
+    OpenOptions trusting;
+    trusting.verify_checksums = false;
+    return Dess3System::OpenFromSnapshot(snapshot_.string(), trusting);
   }
 
   std::filesystem::path dir_;
+  std::filesystem::path snapshot_;
   ShapeDatabase db_;
-  std::string path_;
   std::vector<char> bytes_;
 };
 
 TEST_F(SerializationFuzzTest, TruncationAtEveryStrideFailsCleanly) {
   for (size_t cut = 0; cut < bytes_.size(); cut += 41) {
     std::vector<char> truncated(bytes_.begin(), bytes_.begin() + cut);
-    auto result = ShapeDatabase::Load(WriteVariant(truncated));
-    EXPECT_FALSE(result.ok()) << "cut at " << cut;
-    const StatusCode code = result.status().code();
-    EXPECT_TRUE(code == StatusCode::kCorruption ||
-                code == StatusCode::kIOError)
+    auto result = OpenVariant(truncated);
+    ASSERT_FALSE(result.ok()) << "cut at " << cut;
+    EXPECT_EQ(result.status().code(), StatusCode::kDataLoss)
         << "cut at " << cut << ": " << result.status().ToString();
   }
 }
@@ -70,47 +83,47 @@ TEST_F(SerializationFuzzTest, BitFlipsNeverCrash) {
     std::vector<char> flipped = bytes_;
     const size_t pos = rng.NextBounded(flipped.size());
     flipped[pos] ^= static_cast<char>(1 << rng.NextBounded(8));
-    auto result = ShapeDatabase::Load(WriteVariant(flipped));
+    auto result = OpenVariant(flipped);
     if (result.ok()) {
-      // A flip inside a double payload yields a valid (different) DB.
+      // A flip inside a double payload yields a valid (different) store.
       ++surprising_successes;
-      EXPECT_EQ(result->NumShapes(), db_.NumShapes());
+      EXPECT_EQ((*result)->db().NumShapes(), db_.NumShapes());
     } else {
       ++clean_failures;
-      const StatusCode code = result.status().code();
-      EXPECT_TRUE(code == StatusCode::kCorruption ||
-                  code == StatusCode::kIOError)
-          << result.status().ToString();
+      EXPECT_EQ(result.status().code(), StatusCode::kDataLoss)
+          << "flip at " << pos << ": " << result.status().ToString();
     }
   }
   // Both outcomes occur on real files; mostly successes since most bytes
-  // are geometry payload.
+  // are feature payload.
   EXPECT_GT(clean_failures + surprising_successes, 0);
 }
 
 TEST_F(SerializationFuzzTest, GiantLengthPrefixRejectedWithoutAllocation) {
-  // Overwrite the record-count field (offset 8) with a huge value; the
-  // loader must fail on truncation, not attempt a 2^60-entry reserve.
+  // Overwrite the record-count field (offset 0) with a huge value; the
+  // loader must fail on it, not attempt a 2^60-entry reserve.
   std::vector<char> evil = bytes_;
   const uint64_t huge = 1ull << 60;
-  std::memcpy(evil.data() + 8, &huge, sizeof(huge));
-  auto result = ShapeDatabase::Load(WriteVariant(evil));
-  EXPECT_FALSE(result.ok());
+  std::memcpy(evil.data(), &huge, sizeof(huge));
+  auto result = OpenVariant(evil);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDataLoss)
+      << result.status().ToString();
 }
 
 TEST_F(SerializationFuzzTest, EmptyFileRejected) {
-  auto result = ShapeDatabase::Load(WriteVariant({}));
-  EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
+  auto result = OpenVariant({});
+  EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
 }
 
 TEST_F(SerializationFuzzTest, AppendedGarbageIsHarmless) {
-  // Trailing bytes after a complete database are ignored by the reader
-  // (it reads exactly the declared records).
+  // Trailing bytes after a complete records section are ignored by the
+  // reader (it reads exactly the declared records).
   std::vector<char> padded = bytes_;
   for (int i = 0; i < 64; ++i) padded.push_back(static_cast<char>(i));
-  auto result = ShapeDatabase::Load(WriteVariant(padded));
+  auto result = OpenVariant(padded);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->NumShapes(), db_.NumShapes());
+  EXPECT_EQ((*result)->db().NumShapes(), db_.NumShapes());
 }
 
 /// Snapshot-directory corruption: a golden snapshot is copied per trial,
@@ -127,10 +140,10 @@ class SnapshotFuzzTest : public ::testing::Test {
     Dess3System system;
     ShapeDatabase db = testing_util::BuildSyntheticFeatureDb(3, 3, 2);
     for (const ShapeRecord& rec : db.records()) {
-      system.IngestRecord(rec);
+      ASSERT_TRUE(system.Ingest(rec).ok());
     }
     ASSERT_TRUE(system.Commit().ok());
-    ASSERT_TRUE(system.SaveSnapshot(golden_.string()).ok());
+    ASSERT_TRUE(testing_util::WriteSnapshot(system, golden_.string()).ok());
     baseline_ = system.QueryByShapeId(
         0, QueryRequest::TopK(FeatureKind::kMomentInvariants, 5));
     ASSERT_TRUE(baseline_.ok());

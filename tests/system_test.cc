@@ -140,7 +140,7 @@ TEST(SystemTest, HierarchiesBuiltPerFeature) {
   Dess3System system(FastSystemOptions());
   ShapeDatabase synthetic = testing_util::BuildSyntheticFeatureDb(4, 4, 2);
   for (const ShapeRecord& rec : synthetic.records()) {
-    system.IngestRecord(rec);
+    ASSERT_TRUE(system.Ingest(rec).ok());
   }
   ASSERT_TRUE(system.Commit().ok());
   for (FeatureKind kind : AllFeatureKinds()) {
@@ -185,20 +185,24 @@ TEST(SystemTest, ParallelIngestMatchesSequential) {
 TEST(SystemTest, SaveLoadRoundTrip) {
   const auto dir = std::filesystem::temp_directory_path() /
                    ("dess_sys_" + std::to_string(::getpid()));
-  std::filesystem::create_directories(dir);
-  const std::string path = (dir / "sys.bin").string();
+  std::filesystem::remove_all(dir);
+  const std::string home = (dir / "home").string();
 
-  Dess3System system(FastSystemOptions());
-  ShapeDatabase synthetic = testing_util::BuildSyntheticFeatureDb(3, 3, 1);
-  for (const ShapeRecord& rec : synthetic.records()) {
-    system.IngestRecord(rec);
+  size_t saved_shapes = 0;
+  {
+    auto system = Dess3System::Open(home, {}, FastSystemOptions());
+    ASSERT_TRUE(system.ok()) << system.status().ToString();
+    ShapeDatabase synthetic = testing_util::BuildSyntheticFeatureDb(3, 3, 1);
+    for (const ShapeRecord& rec : synthetic.records()) {
+      ASSERT_TRUE((*system)->Ingest(rec).ok());
+    }
+    ASSERT_TRUE((*system)->Commit().ok());
+    saved_shapes = (*system)->db().NumShapes();
   }
-  ASSERT_TRUE(system.Commit().ok());
-  ASSERT_TRUE(system.Save(path).ok());
 
-  auto loaded = Dess3System::LoadFrom(path, FastSystemOptions());
+  auto loaded = Dess3System::Open(home, {}, FastSystemOptions());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ((*loaded)->db().NumShapes(), system.db().NumShapes());
+  EXPECT_EQ((*loaded)->db().NumShapes(), saved_shapes);
   EXPECT_TRUE((*loaded)->IsCommitted());
   auto snapshot = (*loaded)->CurrentSnapshot();
   ASSERT_TRUE(snapshot.ok());
@@ -206,6 +210,7 @@ TEST(SystemTest, SaveLoadRoundTrip) {
       0, QueryRequest::TopK(FeatureKind::kPrincipalMoments, 2)));
   ASSERT_TRUE(results.ok());
   EXPECT_EQ(results->size(), 2u);
+  loaded->reset();
   std::filesystem::remove_all(dir);
 }
 

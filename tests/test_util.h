@@ -8,6 +8,8 @@
 
 #include "src/common/logging.h"
 #include "src/common/rng.h"
+#include "src/core/persistence.h"
+#include "src/core/system.h"
 #include "src/db/shape_database.h"
 #include "src/features/feature_space.h"
 #include "src/search/query.h"
@@ -30,6 +32,15 @@ inline ShapeSignature SignatureWith(int ordinal, std::vector<double> values) {
   ShapeSignature signature;
   signature.MutableAt(ordinal).values = std::move(values);
   return signature;
+}
+
+/// Writes `system`'s published snapshot to `dir` through
+/// SystemSnapshot::SaveTo; FailedPrecondition before the first Commit().
+inline Status WriteSnapshot(const Dess3System& system, const std::string& dir,
+                            const SaveOptions& options = {}) {
+  DESS_ASSIGN_OR_RETURN(std::shared_ptr<const SystemSnapshot> snapshot,
+                        system.CurrentSnapshot());
+  return snapshot->SaveTo(dir, options);
 }
 
 /// A synthetic non-canonical feature space for registry tests: id + dim,
